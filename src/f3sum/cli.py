@@ -12,8 +12,8 @@ Exit codes: 0 success (converged evaluation, passing check or suite),
 sides disagree beyond tolerance.
 
 ``--tol`` is the truncation tolerance for ``eval`` and the residual tolerance
-for ``check``/``suite``; the latter derive their series truncation tolerance
-as tol * 1e-4, floored at 1e-15.
+for ``check``/``suite``; the latter derive their series truncation policy
+from it with :func:`f3sum.identities.derived_policy`.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .errors import F3Error
 from .f3core import arguments_from_json, eval_f3
-from .identities import check_identity, instance_from_json, list_identities
+from .identities import check_identity, derived_policy, instance_from_json, list_identities
 from .numerics import FLOAT64, RATIONAL, TruncationPolicy
 from .params import format_number, parameter_set_from_json
 from .suite import SuiteConfig, run_suite, write_rows_csv
@@ -116,14 +116,6 @@ def _read_file(path: str) -> object:
         raise CliInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _derived_policy(ns: argparse.Namespace) -> TruncationPolicy:
-    return TruncationPolicy(
-        tol=max(ns.tol * 1e-4, 1e-15),
-        max_total_degree=ns.max_degree,
-        stall_window=ns.stall_window,
-    )
-
-
 def cmd_eval(ns: argparse.Namespace) -> int:
     if ns.file is not None:
         data = _read_file(ns.file)
@@ -161,7 +153,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
     inst = instance_from_json(data, ns.backend)
     report = check_identity(
         inst,
-        policy=_derived_policy(ns),
+        policy=derived_policy(ns.tol, ns.max_degree, ns.stall_window),
         residual_tol=ns.tol,
         outer_cap=ns.outer_cap,
     )
@@ -185,7 +177,7 @@ def cmd_suite(ns: argparse.Namespace) -> int:
         residual_tol=ns.tol,
         outer_cap=ns.outer_cap,
         jobs=ns.jobs,
-        policy=_derived_policy(ns),
+        policy=derived_policy(ns.tol, ns.max_degree, ns.stall_window),
     )
     summary, rows = run_suite(config)
     write_rows_csv(rows, ns.out)

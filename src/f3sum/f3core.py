@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DenominatorPoleError, NotConvergedError
 from .numerics import (
@@ -41,10 +41,10 @@ from .numerics import (
 )
 from .params import (
     DENOMINATOR_FAMILIES,
-    FAMILY_COMBO,
     NUMERATOR_FAMILIES,
     ParameterSet,
     combo_degree,
+    families_along,
     in_support,
     numerator_bounds,
     parse_number,
@@ -98,13 +98,7 @@ def lambda_coeff(ps: ParameterSet, m1: int, m2: int, m3: int) -> Number:
 
 # Families whose Pochhammer order steps along each lattice direction,
 # split into (upstairs, downstairs).
-_DIRECTION_FAMILIES: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...]], ...] = tuple(
-    (
-        tuple(f for f in NUMERATOR_FAMILIES if FAMILY_COMBO[f][d]),
-        tuple(f for f in DENOMINATOR_FAMILIES if FAMILY_COMBO[f][d]),
-    )
-    for d in range(3)
-)
+_DIRECTION_FAMILIES = tuple(families_along(d) for d in range(3))
 
 
 def eval_f3(

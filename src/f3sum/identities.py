@@ -21,7 +21,7 @@ values for terminating input and are validated elsewhere against
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -49,10 +49,9 @@ from .params import (
     FamilyIndex,
     ParameterSet,
     X1_GROUP,
-    X2_GROUP,
-    X3_GROUP,
     drop_entry,
     entry_value,
+    families_along,
     format_number,
     parameter_set_from_json,
     parse_number,
@@ -257,9 +256,6 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # Shared pieces for the rule table.
 
-_UP_X1 = ("a", "b", "bpp", "c")
-_DN_X1 = ("e", "g", "gpp", "h")
-
 
 def _shift_group(ps: ParameterSet, names: Sequence[str], k: int) -> ParameterSet:
     for name in names:
@@ -361,16 +357,11 @@ def _entry_shift_rule(rid: str, family: str, scaled_dirs: Tuple[int, ...]) -> Id
     )
 
 
-def _argument_shift_rule(
-    rid: str,
-    upper: Tuple[str, ...],
-    lower: Tuple[str, ...],
-    group: Tuple[str, ...],
-    direction: int,
-) -> IdentityRule:
+def _argument_shift_rule(rid: str, direction: int) -> IdentityRule:
     """Argument translation: summing k-shifts of every family coupled to one
     argument direction, weighted by the direction's own Pochhammer ratio and
     t**k, translates that argument by t."""
+    upper, lower = families_along(direction)
 
     def rhs_args(inst: IdentityInstance) -> ArgumentTriple:
         xs = inst.args.to_list()
@@ -388,7 +379,7 @@ def _argument_shift_rule(
             lower_families=lower,
             power_base=lambda inst: inst.scalar("t"),
         ),
-        lhs_params=lambda inst, k: _shift_group(inst.ps, group, k),
+        lhs_params=lambda inst, k: _shift_group(inst.ps, upper + lower, k),
         lhs_args=_args_unchanged,
         rhs_prefactor=_one,
         rhs_params=_params_unchanged,
@@ -415,6 +406,8 @@ def _x1_series_rule(
     families; the left side shifts the x1-coupled group, either wholesale or
     holding the indexed entry fixed."""
 
+    upper, lower = families_along(0)
+
     def power_base(inst: IdentityInstance) -> Number:
         return -inst.args.x1 if negate_x1 else inst.args.x1
 
@@ -429,8 +422,8 @@ def _x1_series_rule(
         indexed_family=family,
         scalar_names=scalar_names,
         weight=WeightShape(
-            upper_families=_UP_X1,
-            lower_families=_DN_X1,
+            upper_families=upper,
+            lower_families=lower,
             omit_indexed=True,
             extra_upper=extra_upper,
             extra_lower=extra_lower,
@@ -587,9 +580,9 @@ _register(_entry_shift_rule("T1a", "a", (0, 1, 2)))
 _register(_entry_shift_rule("T1b", "b", (0, 1)))
 _register(_entry_shift_rule("T1c", "c", (0,)))
 
-_register(_argument_shift_rule("T2x1", ("a", "b", "bpp", "c"), ("e", "g", "gpp", "h"), X1_GROUP, 0))
-_register(_argument_shift_rule("T2x2", ("a", "b", "bp", "cp"), ("e", "g", "gp", "hp"), X2_GROUP, 1))
-_register(_argument_shift_rule("T2x3", ("a", "bp", "bpp", "cpp"), ("e", "gp", "gpp", "hpp"), X3_GROUP, 2))
+_register(_argument_shift_rule("T2x1", 0))
+_register(_argument_shift_rule("T2x2", 1))
+_register(_argument_shift_rule("T2x3", 2))
 
 _register(_x1_series_rule(
     "T3a", "a",
@@ -781,18 +774,16 @@ def validate_instance(inst: IdentityInstance) -> IdentityRule:
     return rule
 
 
-def _derived_policy(residual_tol: float) -> TruncationPolicy:
-    return TruncationPolicy(tol=max(residual_tol * 1e-4, 1e-15))
-
-
-def lhs_value(
-    inst: IdentityInstance,
-    policy: TruncationPolicy,
-    outer_cap: int = 40,
-) -> Tuple[Number, EvaluationResult]:
-    """Outer weighted sum of shifted evaluations, with joint diagnostics."""
-    rule = validate_instance(inst)
-    return _lhs_value(rule, inst, policy, outer_cap)
+def derived_policy(
+    residual_tol: float, max_total_degree: int = 28, stall_window: int = 3
+) -> TruncationPolicy:
+    """Series truncation for a two-sided check: four orders of magnitude
+    below the residual tolerance, floored at 1e-15."""
+    return TruncationPolicy(
+        tol=max(residual_tol * 1e-4, 1e-15),
+        max_total_degree=max_total_degree,
+        stall_window=stall_window,
+    )
 
 
 def _lhs_value(
@@ -801,6 +792,7 @@ def _lhs_value(
     policy: TruncationPolicy,
     outer_cap: int,
 ) -> Tuple[Number, EvaluationResult]:
+    """Outer weighted sum of shifted evaluations, with joint diagnostics."""
     inner_args = rule.lhs_args(inst)
     inner_results: List[EvaluationResult] = []
 
@@ -835,20 +827,12 @@ def _lhs_value(
     return outer.value, diag
 
 
-def rhs_value(
-    inst: IdentityInstance,
-    policy: TruncationPolicy,
-) -> Tuple[Number, EvaluationResult]:
-    """Prefactor times the single rewritten evaluation."""
-    rule = validate_instance(inst)
-    return _rhs_value(rule, inst, policy)
-
-
 def _rhs_value(
     rule: IdentityRule,
     inst: IdentityInstance,
     policy: TruncationPolicy,
 ) -> Tuple[Number, EvaluationResult]:
+    """Prefactor times the single rewritten evaluation."""
     pref = rule.rhs_prefactor(inst)
     res = eval_f3(rule.rhs_params(inst), rule.rhs_args(inst), policy)
     return pref * res.value, res
@@ -881,7 +865,7 @@ def check_identity(
     """
     rule = validate_instance(inst)
     if policy is None:
-        policy = _derived_policy(residual_tol)
+        policy = derived_policy(residual_tol)
 
     if rule.guard is not None and weight_bound(rule.weight, inst) is None:
         reason = rule.guard(inst)

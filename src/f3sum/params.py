@@ -57,10 +57,21 @@ FAMILY_COMBO: Dict[str, Tuple[int, int, int]] = {
     "cpp": (0, 0, 1), "hpp": (0, 0, 1),
 }
 
+
+def families_along(*dirs: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """(upstairs, downstairs) families whose Pochhammer order grows with every
+    summation index in ``dirs`` (0, 1, 2 for m1, m2, m3), in FAMILIES order."""
+
+    def along(names: Tuple[str, ...]) -> Tuple[str, ...]:
+        return tuple(f for f in names if all(FAMILY_COMBO[f][d] for d in dirs))
+
+    return along(NUMERATOR_FAMILIES), along(DENOMINATOR_FAMILIES)
+
+
 # Families whose Pochhammer order grows with the given argument direction.
-X1_GROUP: Tuple[str, ...] = ("a", "b", "bpp", "c", "e", "g", "gpp", "h")
-X2_GROUP: Tuple[str, ...] = ("a", "b", "bp", "cp", "e", "g", "gp", "hp")
-X3_GROUP: Tuple[str, ...] = ("a", "bp", "bpp", "cpp", "e", "gp", "gpp", "hpp")
+X1_GROUP: Tuple[str, ...] = sum(families_along(0), ())
+X2_GROUP: Tuple[str, ...] = sum(families_along(1), ())
+X3_GROUP: Tuple[str, ...] = sum(families_along(2), ())
 
 
 def combo_degree(family: str, m1: int, m2: int, m3: int) -> int:

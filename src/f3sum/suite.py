@@ -36,6 +36,7 @@ from .identities import (
     IdentityInstance,
     binomial_1f0,
     check_identity,
+    derived_policy,
     get_rule,
     nearly_poised_3f2,
     saalschutz_3f2,
@@ -44,7 +45,7 @@ from .identities import (
     watson_4f3,
 )
 from .numerics import FLOAT64, RATIONAL, Number, TruncationPolicy
-from .params import FAMILIES, FamilyIndex, ParameterSet
+from .params import FAMILIES, FamilyIndex, ParameterSet, families_along
 from .special import SPECIAL_KINDS, check_special_case, lauricella_fa3, lauricella_fd3, srivastava_ha
 
 LEMMA_NAMES: Tuple[str, ...] = (
@@ -147,10 +148,10 @@ def lemma_case(name: str, seed: int, index: int, max_order: int = 15) -> LemmaCa
 # ---------------------------------------------------------------------------
 # Float64 rule instances: balanced random families.
 
-_DIR_UP = (("a", "b", "bpp", "c"), ("a", "b", "bp", "cp"), ("a", "bp", "bpp", "cpp"))
-_DIR_DOWN = (("e", "g", "gpp", "h"), ("e", "g", "gp", "hp"), ("e", "gp", "gpp", "hpp"))
-_PAIR_UP = (("a", "b"), ("a", "bp"), ("a", "bpp"))
-_PAIR_DOWN = (("e", "g"), ("e", "gp"), ("e", "gpp"))
+
+_BALANCE_GROUPS = tuple(
+    families_along(*dirs) for dirs in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2))
+)
 
 
 def _balanced(lengths: Dict[str, int]) -> bool:
@@ -159,10 +160,7 @@ def _balanced(lengths: Dict[str, int]) -> bool:
     Per direction the upstairs order may exceed the downstairs by at most
     one (the factorial supplies the last power).  The pair conditions bound
     the growth that outer k-shifts inject into the two other directions."""
-    for up, down in zip(_DIR_UP, _DIR_DOWN):
-        if sum(lengths[f] for f in up) > sum(lengths[f] for f in down) + 1:
-            return False
-    for up, down in zip(_PAIR_UP, _PAIR_DOWN):
+    for up, down in _BALANCE_GROUPS:
         if sum(lengths[f] for f in up) > sum(lengths[f] for f in down) + 1:
             return False
     return True
@@ -378,7 +376,7 @@ class SuiteConfig:
     def series_policy(self) -> TruncationPolicy:
         if self.policy is not None:
             return self.policy
-        return TruncationPolicy(tol=max(self.residual_tol * 1e-4, 1e-15))
+        return derived_policy(self.residual_tol)
 
 
 def _lemma_row(config: SuiteConfig, name: str, index: int) -> Dict[str, object]:

@@ -82,6 +82,7 @@ class TestEval:
     def test_malformed_json(self):
         proc = run_cli("eval", "--params", "{not json", "--args", "[0, 0, 0]")
         assert proc.returncode == 1
+        assert "error: invalid JSON for --params" in proc.stderr
 
     def test_float_param_in_rational_mode(self):
         # 0.1 as decimal text must mean 1/10 exactly
@@ -114,6 +115,7 @@ class TestCheck:
         f.write_text(json.dumps(T1A_INSTANCE))
         proc = run_cli("check", "--file", str(f), "--json", "{}")
         assert proc.returncode == 1
+        assert "error: check needs exactly one of --file or --json" in proc.stderr
 
     def test_guard_exit_code(self):
         inst = dict(T1A_INSTANCE, scalars={"t": 2.5})
@@ -135,6 +137,7 @@ class TestCheck:
     def test_unknown_identity(self):
         proc = run_cli("check", "--json", '{"id": "T0", "params": {}, "args": [0,0,0]}')
         assert proc.returncode == 1
+        assert "error: unknown identity id 'T0'" in proc.stderr
 
     def test_rational_exact(self):
         inst = {
@@ -220,7 +223,9 @@ class TestArgparseErrors:
     def test_no_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 1
+        assert "error: the following arguments are required: command" in proc.stderr
 
     def test_unknown_flag(self):
         proc = run_cli("list", "--frobnicate")
         assert proc.returncode == 1
+        assert "error: unrecognized arguments:" in proc.stderr

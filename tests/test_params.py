@@ -19,6 +19,7 @@ from f3sum import (
     X2_GROUP,
     X3_GROUP,
     combo_degree,
+    get_rule,
     drop_entry,
     entry_value,
     parameter_set_from_json,
@@ -30,6 +31,7 @@ from f3sum import (
     validate,
 )
 from f3sum.params import (
+    families_along,
     format_number,
     in_support,
     numerator_bounds,
@@ -76,6 +78,12 @@ class TestFamilyLayout:
             ups = [f for f in group if f in NUMERATOR_FAMILIES]
             downs = [f for f in group if f in DENOMINATOR_FAMILIES]
             assert len(ups) == len(downs) == 4
+        assert families_along(0, 1) == (("a", "b"), ("e", "g"))
+        assert families_along(1, 2) == (("a", "bp"), ("e", "gp"))
+        assert families_along(0, 2) == (("a", "bpp"), ("e", "gpp"))
+        for d, group in enumerate((X1_GROUP, X2_GROUP, X3_GROUP)):
+            weight = get_rule(f"T2x{d + 1}").weight
+            assert weight.upper_families + weight.lower_families == group
 
 
 class TestParameterSet:
