@@ -35,3 +35,16 @@ class PoleAtOneError(F3Error):
 
 class InexactPowerError(F3Error):
     """A rational-backend power has a non-integer exponent, so no exact value exists."""
+
+
+class ComplexPowerError(F3Error, ValueError):
+    """A negative float base has a non-integer exponent, so the power is complex.
+
+    Also a ValueError, so code that handles a math domain error as one still
+    catches it."""
+
+
+class InvalidInputError(F3Error, ValueError):
+    """A scalar, argument list, lattice index or truncation-policy field is malformed.
+
+    Also a ValueError, so code that handles bad input as one still catches it."""

@@ -10,6 +10,15 @@ each term derived from a neighbour in the previous shell by a one-step
 recurrence, so a shell costs one multiply-divide per lattice point instead of
 a full coefficient rebuild.
 
+Each call compiles the walk once before summing.  Per lattice direction a
+flat factor plan lists every parameter entry whose Pochhammer order moves
+with a step along it, with its family's FAMILY_COMBO weights; the upstairs
+termination bounds become linear cuts on the lattice; and the backend,
+classified once, picks the division (float ``/`` or exact ``Fraction``).
+Each shell is a flat triangular list, ``shell[m1][m2]`` for the point
+(m1, m2, s - m1 - m2), so a term finds its predecessor by index, and the walk
+itself looks up no family by name.
+
 Truncation follows :class:`~f3sum.numerics.TruncationPolicy`: once the shell
 magnitude stays below tol * max(|sum|, 1) for ``stall_window`` shells in a
 row, the sum stops and reports converged.  When upstairs parameters or zero
@@ -23,12 +32,14 @@ policy, used as an independent reference for the closed-form summation lemmas.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DenominatorPoleError, NotConvergedError
+from .errors import DenominatorPoleError, InvalidInputError, NotConvergedError
 from .numerics import (
+    FLOAT64,
     EvaluationResult,
     Number,
     TruncationPolicy,
@@ -41,11 +52,11 @@ from .numerics import (
 )
 from .params import (
     DENOMINATOR_FAMILIES,
+    FAMILY_COMBO,
     NUMERATOR_FAMILIES,
     ParameterSet,
     combo_degree,
     families_along,
-    in_support,
     numerator_bounds,
     parse_number,
     termination_bound,
@@ -71,7 +82,7 @@ class ArgumentTriple:
 
 def arguments_from_json(raw: Sequence, backend: str) -> ArgumentTriple:
     if isinstance(raw, (str, bytes)) or len(raw) != 3:
-        raise ValueError("arguments must be a list of exactly three scalars")
+        raise InvalidInputError("arguments must be a list of exactly three scalars")
     x1, x2, x3 = (parse_number(v, backend) for v in raw)
     return ArgumentTriple(x1, x2, x3)
 
@@ -82,7 +93,9 @@ def lambda_coeff(ps: ParameterSet, m1: int, m2: int, m3: int) -> Number:
     vanishes, since the ratio is undefined there."""
     for m in (m1, m2, m3):
         if not isinstance(m, int) or m < 0:
-            raise ValueError(f"lattice indices must be non-negative ints, got {m!r}")
+            raise InvalidInputError(
+                f"lattice indices must be non-negative ints, got {m!r}"
+            )
     num: Number = 1
     for name in NUMERATOR_FAMILIES:
         num = num * pochhammer_product(ps.family(name), combo_degree(name, m1, m2, m3))
@@ -96,9 +109,37 @@ def lambda_coeff(ps: ParameterSet, m1: int, m2: int, m3: int) -> Number:
     return exact_div(num, den)
 
 
-# Families whose Pochhammer order steps along each lattice direction,
-# split into (upstairs, downstairs).
-_DIRECTION_FAMILIES = tuple(families_along(d) for d in range(3))
+# Per lattice direction, the families whose Pochhammer order steps along it
+# with their FAMILY_COMBO rows, split into (upstairs, downstairs).
+_DIRECTION_FAMILIES = tuple(
+    tuple(
+        tuple((name, FAMILY_COMBO[name]) for name in names)
+        for names in families_along(d)
+    )
+    for d in range(3)
+)
+
+
+def _direction_plan(
+    ps: ParameterSet, direction: int, x: Number
+) -> Tuple[List[tuple], List[tuple], Number]:
+    """The factors of one lattice step along ``direction``, flattened once.
+
+    Returns ``(upstairs, downstairs, x)``: upstairs entries as
+    ``(w1, w2, w3, value)`` and downstairs entries as
+    ``(w1, w2, w3, family, j, value)``, where ``w`` is the family's
+    FAMILY_COMBO row and ``j`` the 1-based entry index.  Families keep their
+    families_along order and entries their family order, because the float
+    product depends on it.
+    """
+    up_families, down_families = _DIRECTION_FAMILIES[direction]
+    upstairs = [w + (v,) for name, w in up_families for v in getattr(ps, name)]
+    downstairs = [
+        w + (name, j, v)
+        for name, w in down_families
+        for j, v in enumerate(getattr(ps, name), start=1)
+    ]
+    return upstairs, downstairs, x
 
 
 def eval_f3(
@@ -114,40 +155,15 @@ def eval_f3(
     ``strict`` set, failing to converge within the degree cap raises
     NotConvergedError instead of returning a partial sum.
     """
-    classify_backend(ps.all_entries() + args.to_list())
+    backend = classify_backend(ps.all_entries() + args.to_list())
+    div = operator.truediv if backend == FLOAT64 else exact_div
     xs = args.to_list()
+    z1, z2, z3 = (x == 0 for x in xs)
+    # A zero argument keeps the walk off its direction, which needs no plan.
+    plans = [None if x == 0 else _direction_plan(ps, d, x) for d, x in enumerate(xs)]
     bounds = numerator_bounds(ps)
-    zero_dir = tuple(x == 0 for x in xs)
-
-    def in_region(m1: int, m2: int, m3: int) -> bool:
-        if (zero_dir[0] and m1) or (zero_dir[1] and m2) or (zero_dir[2] and m3):
-            return False
-        return in_support(bounds, m1, m2, m3)
-
-    def step(point: Tuple[int, int, int], prev_value: Number, direction: int) -> Number:
-        # Advance the cached term one lattice step: every family whose order
-        # moves with this direction contributes one fresh linear factor.
-        num_fams, den_fams = _DIRECTION_FAMILIES[direction]
-        num: Number = prev_value * xs[direction]
-        for name in num_fams:
-            order = combo_degree(name, *point)
-            for v in ps.family(name):
-                num = num * (v + order)
-        den: Number = point[direction] + 1
-        for name in den_fams:
-            order = combo_degree(name, *point)
-            for j, v in enumerate(ps.family(name), start=1):
-                factor = v + order
-                if factor == 0:
-                    raise DenominatorPoleError(
-                        f"downstairs entry {name}[{j}] = {v!r} vanishes at "
-                        f"Pochhammer order {order + 1}"
-                    )
-                den = den * factor
-        return exact_div(num, den)
-
-    finite = [b for b in bounds.values() if b is not None]
-    monitor_start = 1 + (max(finite) if finite else 0)
+    cuts = [FAMILY_COMBO[name] + (b,) for name, b in bounds.items() if b is not None]
+    monitor_start = 1 + max((bound for *_, bound in cuts), default=0)
 
     total: Number = 0
     streak = 0
@@ -156,40 +172,76 @@ def eval_f3(
     converged = False
     terminated = False
     recent: deque = deque(maxlen=policy.stall_window + 1)
-    prev_terms: Dict[Tuple[int, int, int], Number] = {}
+    # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
+    # or None where the point lies outside the support.
+    prev: List[List[Optional[Number]]] = []
 
     for s in range(policy.max_total_degree + 1):
-        cur_terms: Dict[Tuple[int, int, int], Number] = {}
         if s == 0:
-            cur_terms[(0, 0, 0)] = 1
+            cur: List[List[Optional[Number]]] = [[1]]
+            shell_sum: Number = 1
+            visited = True
         else:
+            cur = []
+            shell_sum = 0
+            visited = False
             for m1 in range(s + 1):
+                row: List[Optional[Number]] = []
+                cur.append(row)
                 for m2 in range(s - m1 + 1):
                     m3 = s - m1 - m2
-                    if not in_region(m1, m2, m3):
+                    outside = (z1 and m1) or (z2 and m2) or (z3 and m3)
+                    for c1, c2, c3, bound in cuts:
+                        if c1 * m1 + c2 * m2 + c3 * m3 > bound:
+                            outside = True
+                            break
+                    if outside:
+                        row.append(None)
                         continue
-                    # The support is a lower set, so the predecessor of an
-                    # in-region point is always in the previous shell's cache.
+                    # Step from the predecessor (p1, p2, p3) in the previous
+                    # shell.  The support is a lower set, so that predecessor
+                    # is in it.  The step multiplies in x, divides by the new
+                    # factorial factor m_d (den's start), and every family
+                    # whose order moves with it contributes one fresh linear
+                    # factor.
                     if m3:
-                        pred, direction = (m1, m2, m3 - 1), 2
+                        p1, p2, p3, den = m1, m2, m3 - 1, m3
+                        up, down, x = plans[2]
+                        value = prev[m1][m2]
                     elif m2:
-                        pred, direction = (m1, m2 - 1, 0), 1
+                        p1, p2, p3, den = m1, m2 - 1, 0, m2
+                        up, down, x = plans[1]
+                        value = prev[m1][m2 - 1]
                     else:
-                        pred, direction = (m1 - 1, 0, 0), 0
-                    cur_terms[(m1, m2, m3)] = step(pred, prev_terms[pred], direction)
-        if not cur_terms:
+                        p1, p2, p3, den = m1 - 1, 0, 0, m1
+                        up, down, x = plans[0]
+                        value = prev[m1 - 1][0]
+                    num = value * x
+                    for w1, w2, w3, v in up:
+                        num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
+                    for w1, w2, w3, name, j, v in down:
+                        order = w1 * p1 + w2 * p2 + w3 * p3
+                        factor = v + order
+                        if factor == 0:
+                            raise DenominatorPoleError(
+                                f"downstairs entry {name}[{j}] = {v!r} vanishes at "
+                                f"Pochhammer order {order + 1}"
+                            )
+                        den = den * factor
+                    value = div(num, den)
+                    row.append(value)
+                    shell_sum = shell_sum + value
+                    visited = True
+        if not visited:
             # Every remaining shell is empty too: the sum is complete.
             terminated = True
             converged = True
             break
-        shell_sum: Number = 0
-        for value in cur_terms.values():
-            shell_sum = shell_sum + value
         total = total + shell_sum
         shells_summed = s + 1
         last_mag = abs(shell_sum)
         recent.append(last_mag)
-        prev_terms = cur_terms
+        prev = cur
         if below_threshold(last_mag, abs(total), policy.tol):
             streak += 1
             if streak >= policy.stall_window:

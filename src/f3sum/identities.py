@@ -858,10 +858,12 @@ def check_identity(
 
     Malformed instances raise InvalidInstanceError.  Inputs outside the
     convergence domain of a non-terminating outer sum, and evaluation
-    failures (poles, inexact powers), come back as failed reports with a
-    reason rather than exceptions.  A report passes when both sides
-    converged and the relative residual is within residual_tol; the residual
-    comparison is exact in the rational backend.
+    failures (any F3Error, such as a pole or an inexact power, a division by
+    zero or a float overflow), come back as failed reports with a reason
+    rather than exceptions; any other exception is a bug and propagates.  A
+    report passes when both sides converged and the relative residual is
+    within residual_tol; the residual comparison is exact in the rational
+    backend.
     """
     rule = validate_instance(inst)
     if policy is None:
@@ -877,7 +879,7 @@ def check_identity(
     try:
         lhs, lhs_diag = _lhs_value(rule, inst, policy, outer_cap)
         rhs, rhs_diag = _rhs_value(rule, inst, policy)
-    except (F3Error, ZeroDivisionError, ValueError, OverflowError) as exc:
+    except (F3Error, ZeroDivisionError, OverflowError) as exc:
         return CheckReport(
             identity_id=inst.identity_id,
             passed=False,

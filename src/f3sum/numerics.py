@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .errors import BackendMismatchError, InexactPowerError, NotConvergedError
+from .errors import (
+    BackendMismatchError,
+    ComplexPowerError,
+    InexactPowerError,
+    InvalidInputError,
+    NotConvergedError,
+)
 
 Number = Union[int, float, Fraction]
 
@@ -99,8 +105,8 @@ def number_pow(base: Number, exponent: Number) -> Number:
 
     Integer exponents are computed exactly in both backends.  Non-integer
     exponents need floats on both sides; a rational base then raises
-    InexactPowerError, and a negative base raises ValueError (the result
-    would be complex).
+    InexactPowerError, and a negative base raises ComplexPowerError (the
+    result would be complex).
     """
     if is_integer_valued(exponent):
         n = int(exponent)
@@ -111,7 +117,7 @@ def number_pow(base: Number, exponent: Number) -> Number:
         return base ** n
     if isinstance(base, float):
         if base < 0:
-            raise ValueError(f"negative base {base} with non-integer exponent")
+            raise ComplexPowerError(f"negative base {base} with non-integer exponent")
         return base ** float(exponent)
     raise InexactPowerError(
         f"exact power needs an integer exponent, got {exponent!r}"
@@ -154,11 +160,11 @@ class TruncationPolicy:
 
     def __post_init__(self) -> None:
         if not (self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+            raise InvalidInputError(f"tol must be positive, got {self.tol!r}")
         if self.max_total_degree < 1:
-            raise ValueError("max_total_degree must be >= 1")
+            raise InvalidInputError("max_total_degree must be >= 1")
         if self.stall_window < 1:
-            raise ValueError("stall_window must be >= 1")
+            raise InvalidInputError("stall_window must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidIndexError
+from .errors import InvalidIndexError, InvalidInputError
 from .numerics import (
     FLOAT64,
     RATIONAL,
@@ -150,18 +150,18 @@ def parse_number(raw, backend: str) -> Number:
     0.1 means exactly 1/10 rather than the nearest binary double.
     """
     if isinstance(raw, bool):
-        raise InvalidIndexError(f"not a scalar: {raw!r}")
+        raise InvalidInputError(f"not a scalar: {raw!r}")
     if isinstance(raw, str):
         try:
             value: Number = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidIndexError(f"cannot parse number {raw!r}") from exc
+            raise InvalidInputError(f"cannot parse number {raw!r}") from exc
     elif isinstance(raw, int):
         value = raw
     elif isinstance(raw, float):
         value = Fraction(repr(raw)) if backend == RATIONAL else raw
     else:
-        raise InvalidIndexError(f"not a scalar: {raw!r}")
+        raise InvalidInputError(f"not a scalar: {raw!r}")
     if backend == RATIONAL and isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return coerce_number(value, backend)

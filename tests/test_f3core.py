@@ -8,8 +8,10 @@ import pytest
 from f3sum import (
     ArgumentTriple,
     BackendMismatchError,
+    DENOMINATOR_FAMILIES,
     DenominatorPoleError,
     FAMILY_COMBO,
+    InvalidInputError,
     NotConvergedError,
     ParameterSet,
     TruncationPolicy,
@@ -67,7 +69,7 @@ class TestArgumentTriple:
         assert (t.x1, t.x2, t.x3) == (Fraction(1, 2), 0, Fraction(-3, 4))
 
     def test_from_json_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             arguments_from_json([1, 2], backend="float64")
 
 
@@ -87,7 +89,7 @@ class TestLambdaCoeff:
             lambda_coeff(ParameterSet(h=(-1,)), 2, 0, 0)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             lambda_coeff(ParameterSet(), -1, 0, 0)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_COMBO))
@@ -155,9 +157,14 @@ class TestEvalF3:
         assert res.converged
         assert res.value == pytest.approx(1 / 0.8, rel=1e-12)
 
-    def test_pole_raises(self):
-        ps = ParameterSet(a=(1.0,), hp=(-1.0,))
-        with pytest.raises(DenominatorPoleError, match="hp"):
+    @pytest.mark.parametrize("family", DENOMINATOR_FAMILIES)
+    def test_pole_raises(self, family):
+        # 'a' follows every index, so its order covers each downstairs family
+        ps = ParameterSet(a=(1.0,), **{family: (-1.0,)})
+        message = (
+            rf"^downstairs entry {family}\[1\] = -1\.0 vanishes at Pochhammer order 2$"
+        )
+        with pytest.raises(DenominatorPoleError, match=message):
             eval_f3(ps, ArgumentTriple(0.1, 0.1, 0.1))
 
     def test_divergent_reports_not_converged(self):
@@ -179,6 +186,13 @@ class TestEvalF3:
             TruncationPolicy(tol=1e-300),
         )
         assert not res.converged
+
+    def test_float_backend_divides_in_float(self):
+        # The float lives in a family the x1 steps never touch, so every
+        # step sees only ints; the float64 backend still divides in float.
+        res = eval_f3(ParameterSet(cp=(0.5,)), ArgumentTriple(1, 0, 0))
+        assert isinstance(res.value, float)
+        assert res.value == pytest.approx(math.e, rel=1e-14)
 
     def test_backend_mismatch_params_vs_args(self):
         with pytest.raises(BackendMismatchError):

@@ -1,4 +1,4 @@
-"""Golden outputs: digests of suite bytes and exact rule values.
+"""Golden outputs: digests of suite bytes, exact rule values and engine bits.
 
 The other determinism tests compare runs of the same code with each other;
 these pin the outputs themselves, so a refactor that reorders a float
@@ -6,12 +6,32 @@ product or a table and changes a single bit fails here.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
-from f3sum import IDENTITY_IDS, SuiteConfig, check_identity, run_suite, write_rows_csv
-from f3sum.suite import exact_instance
+from f3sum import (
+    IDENTITY_IDS,
+    ArgumentTriple,
+    ParameterSet,
+    SuiteConfig,
+    TruncationPolicy,
+    check_identity,
+    eval_f3,
+    run_suite,
+    write_rows_csv,
+)
+from f3sum.params import FAMILIES, NUMERATOR_FAMILIES, families_along
+from f3sum.suite import exact_instance, random_instance
 
 SUITE_CSV_SHA256 = "3d75b7fbebecee902dbd7b13b1ba55eef430a795105288022b52017ac62e9ade"
 EXACT_VALUES_SHA256 = "4100da0ab6daa0d5b30d9ef4e810fbfed0bcb39198f65b0126d27074110bd463"
+EVAL_F3_SHA256 = "a42bb5ea4829972c2132497bac227508bcb2dcb5c1b9076439d8669fabf72ec9"
+X1_SERIES_SHA256 = "e8559cf20eb64e29cae60a6420307b0af74dbbc52a56d3b5d2d6dd3f2ed6a018"
+
+# Rules whose outer variable is x1: their weights multiply the x1-coupled
+# families in families_along(0) order.
+X1_SERIES_RULES = ("T3a", "T3c", "T4a", "T4c", "T5c", "T6a", "T6c", "T7c", "T8c")
+SHORT_POLICY = TruncationPolicy(tol=1e-9, max_total_degree=12, stall_window=2)
 
 
 def test_float_suite_csv_digest(tmp_path):
@@ -30,3 +50,68 @@ def test_exact_rule_values_digest():
     assert len(values) == 85
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     assert digest == EXACT_VALUES_SHA256
+
+
+def eval_points():
+    """64 seeded (ParameterSet, ArgumentTriple, policy) triples.
+
+    Every fourth point is rational (sevenths, arguments +-k/40), the rest
+    float (entries in [0.3, 2.5], mixed-sign arguments within 0.25).  Family
+    sizes are 0-2, balanced per direction except at i % 16 == 5.  Points with
+    i % 3 == 0 and all rational points get a nonpositive-integer upstairs
+    entry (a float one in the float backend), in ``a`` on a share of them so
+    the whole series terminates.  Points with i % 5 < 3 zero the argument
+    of direction i % 5; i % 7 == 0 runs a short policy that can hit its cap.
+    """
+    rng = random.Random("eval_f3 golden")
+    points = []
+    for i in range(64):
+        rational = i % 4 == 3
+        if rational:
+            entry = lambda: Fraction(rng.randrange(3, 18), 7)
+            arg = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 40)
+            cut = lambda: -rng.randrange(0, 4)
+        else:
+            entry = lambda: rng.uniform(0.3, 2.5)
+            arg = lambda: rng.uniform(-0.25, 0.25)
+            cut = lambda: -float(rng.randrange(0, 4))
+        while True:
+            sizes = {name: rng.choice((0, 1, 2)) for name in FAMILIES}
+            if i % 16 == 5 or all(
+                sum(sizes[f] for f in up) <= sum(sizes[f] for f in down) + 1
+                for up, down in map(families_along, range(3))
+            ):
+                break
+        fields = {name: tuple(entry() for _ in range(n)) for name, n in sizes.items()}
+        if i % 3 == 0 or rational:
+            name = "a" if i % 2 == 0 or i % 8 == 3 else rng.choice(NUMERATOR_FAMILIES)
+            fields[name] = fields[name] + (cut(),)
+        xs = [arg() for _ in range(3)]
+        if i % 5 < 3:
+            xs[i % 5] = 0 if rational else 0.0
+        policy = SHORT_POLICY if i % 7 == 0 else TruncationPolicy()
+        points.append((ParameterSet(**fields), ArgumentTriple(*xs), policy))
+    return points
+
+
+def test_eval_f3_digest():
+    results = []
+    for ps, args, policy in eval_points():
+        r = eval_f3(ps, args, policy)
+        results.append((r.value, r.shells_used, r.converged, r.terminated_exactly))
+    assert {type(r[0]).__name__ for r in results} == {"float", "Fraction", "int"}
+    assert any(r[3] and isinstance(r[0], float) for r in results)
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == EVAL_F3_SHA256
+
+
+def test_x1_series_float_values_digest():
+    # Five instances per rule: with two, as in the suite digest, a reversed
+    # weight-family order leaves every bit unchanged.
+    values = []
+    for rid in X1_SERIES_RULES:
+        for i in range(5):
+            report = check_identity(random_instance(rid, 0, i))
+            values.append((repr(report.lhs), repr(report.rhs)))
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == X1_SERIES_SHA256

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from f3sum import identities
 from f3sum import (
     ArgumentTriple,
     CheckReport,
@@ -340,6 +341,16 @@ class TestCheckReportSemantics:
         assert isinstance(rep, CheckReport)
         assert not rep.passed
         assert "DenominatorPoleError" in rep.reason
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        # Only F3Error and arithmetic failures become failed reports; a bare
+        # ValueError from inside the evaluation is a bug and must surface.
+        def broken(*args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(identities, "_lhs_value", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            check_identity(dense_instance("T1a"))
 
     def test_not_converged_is_not_a_pass(self):
         inst = dense_instance("T1a")

@@ -7,9 +7,12 @@ from hypothesis import given, strategies as st
 
 from f3sum import (
     BackendMismatchError,
+    ComplexPowerError,
     EvaluationResult,
+    F3Error,
     FLOAT64,
     InexactPowerError,
+    InvalidInputError,
     NotConvergedError,
     RATIONAL,
     TruncationPolicy,
@@ -116,7 +119,7 @@ class TestNumberPow:
         assert number_pow(4.0, 0.5) == 2.0
 
     def test_negative_float_base_fractional_exp(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ComplexPowerError):
             number_pow(-2.0, 0.5)
 
     def test_rational_base_fractional_exp(self):
@@ -126,6 +129,12 @@ class TestNumberPow:
     def test_zero_to_negative(self):
         with pytest.raises(ZeroDivisionError):
             number_pow(0, -1)
+
+
+def test_typed_domain_errors_stay_value_errors():
+    # Callers that caught the old ValueError keep working.
+    for error in (ComplexPowerError, InvalidInputError):
+        assert issubclass(error, F3Error) and issubclass(error, ValueError)
 
 
 class TestPochhammer:
@@ -178,7 +187,7 @@ class TestTruncationPolicy:
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             TruncationPolicy(**kwargs)
 
     def test_frozen(self):

@@ -12,6 +12,7 @@ from f3sum import (
     FLOAT64,
     FamilyIndex,
     InvalidIndexError,
+    InvalidInputError,
     NUMERATOR_FAMILIES,
     ParameterSet,
     RATIONAL,
@@ -144,6 +145,11 @@ class TestParseFormat:
     def test_parse_float_backend(self):
         assert parse_number("0.5", FLOAT64) == 0.5
         assert parse_number(3, FLOAT64) == 3.0
+
+    @pytest.mark.parametrize("raw", ["3/x", "1/0", True, None])
+    def test_parse_rejects_non_numbers(self, raw):
+        with pytest.raises(InvalidInputError):
+            parse_number(raw, RATIONAL)
 
     def test_format_round_trip(self):
         assert format_number(Fraction(3, 7)) == "3/7"
