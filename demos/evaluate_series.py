@@ -54,8 +54,9 @@ print("  terminated     ", term.terminated_exactly)
 print("  shells used    ", term.shells_used)
 print()
 
-# Divergence is reported, never papered over: a non-convergent sum comes
-# back with converged=False (or raises with strict=True).
+# Divergence is reported, never papered over: a non-convergent sum runs to
+# the degree cap and comes back with converged=False (or raises with
+# strict=True).
 runaway = eval_f3(ParameterSet(a=(1.0,)), ArgumentTriple(3.0, 3.0, 3.0))
 print("runaway point")
 print("  converged      ", runaway.converged)

@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success (converged evaluation, passing check or suite),
 1 malformed input, 2 a series failed to converge, 3 a converged check whose
-sides disagree beyond tolerance.
+sides disagree beyond tolerance.  Malformed input means an ``F3Error``, a
+command line error or an unreadable file; any other exception is a bug and
+propagates.
 
 ``--tol`` is the truncation tolerance for ``eval`` and the residual tolerance
 for ``check``/``suite``; the latter derive their series truncation policy
@@ -202,13 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (F3Error, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (CliInputError, F3Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,12 +19,13 @@ Each shell is a flat triangular list, ``shell[m1][m2]`` for the point
 (m1, m2, s - m1 - m2), so a term finds its predecessor by index, and the walk
 itself looks up no family by name.
 
-Truncation follows :class:`~f3sum.numerics.TruncationPolicy`: once the shell
-magnitude stays below tol * max(|sum|, 1) for ``stall_window`` shells in a
-row, the sum stops and reports converged.  When upstairs parameters or zero
-arguments cut the support down to finitely many lattice points the engine
-instead runs off the end of the support and reports an exact, backend-exact
-value (``terminated_exactly``).
+The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
+adds them up under the :class:`~f3sum.numerics.TruncationPolicy`: once the
+shell magnitude stays below tol * max(|sum|, 1) for ``stall_window`` shells in
+a row, the sum stops and reports converged.  When upstairs parameters or zero
+arguments cut the support down to finitely many lattice points the walk
+instead runs off the end of the support; its first empty shell ends the sum
+with an exact, backend-exact value (``terminated_exactly``).
 
 ``eval_pfq`` is the ordinary generalized hypergeometric series under the same
 policy, used as an independent reference for the closed-form summation lemmas.
@@ -32,22 +33,20 @@ policy, used as an independent reference for the closed-form summation lemmas.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DenominatorPoleError, InvalidInputError, NotConvergedError
+from .errors import DenominatorPoleError, InvalidInputError
 from .numerics import (
     FLOAT64,
     EvaluationResult,
     Number,
     TruncationPolicy,
     adaptive_sum,
-    below_threshold,
     classify_backend,
     exact_div,
-    magnitude_as_float,
     pochhammer_product,
 )
 from .params import (
@@ -81,8 +80,8 @@ class ArgumentTriple:
 
 
 def arguments_from_json(raw: Sequence, backend: str) -> ArgumentTriple:
-    if isinstance(raw, (str, bytes)) or len(raw) != 3:
-        raise InvalidInputError("arguments must be a list of exactly three scalars")
+    if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence) or len(raw) != 3:
+        raise InvalidInputError(f"args must be a list of exactly three scalars, got {raw!r}")
     x1, x2, x3 = (parse_number(v, backend) for v in raw)
     return ArgumentTriple(x1, x2, x3)
 
@@ -142,6 +141,78 @@ def _direction_plan(
     return upstairs, downstairs, x
 
 
+def _shell_sums(
+    plans: List[Optional[Tuple[List[tuple], List[tuple], Number]]],
+    cuts: List[tuple],
+    div: Callable[[Number, Number], Number],
+) -> Iterator[Number]:
+    """Yield the sum of each shell s = 0, 1, 2, ... of the lattice walk.
+
+    ``plans[d]`` is None where argument d is zero, which keeps the walk off
+    that direction.  The generator returns at the first empty shell: the
+    support is a lower set, so every later shell is empty too.
+    """
+    z1, z2, z3 = (plan is None for plan in plans)
+    # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
+    # or None where the point lies outside the support.
+    prev: List[List[Optional[Number]]] = [[1]]
+    yield 1
+    for s in itertools.count(1):
+        cur: List[List[Optional[Number]]] = []
+        shell_sum: Number = 0
+        visited = False
+        for m1 in range(s + 1):
+            row: List[Optional[Number]] = []
+            cur.append(row)
+            for m2 in range(s - m1 + 1):
+                m3 = s - m1 - m2
+                outside = (z1 and m1) or (z2 and m2) or (z3 and m3)
+                for c1, c2, c3, bound in cuts:
+                    if c1 * m1 + c2 * m2 + c3 * m3 > bound:
+                        outside = True
+                        break
+                if outside:
+                    row.append(None)
+                    continue
+                # Step from the predecessor (p1, p2, p3) in the previous
+                # shell.  The support is a lower set, so that predecessor is
+                # in it.  The step multiplies in x, divides by the new
+                # factorial factor m_d (den's start), and every family whose
+                # order moves with it contributes one fresh linear factor.
+                if m3:
+                    p1, p2, p3, den = m1, m2, m3 - 1, m3
+                    up, down, x = plans[2]
+                    value = prev[m1][m2]
+                elif m2:
+                    p1, p2, p3, den = m1, m2 - 1, 0, m2
+                    up, down, x = plans[1]
+                    value = prev[m1][m2 - 1]
+                else:
+                    p1, p2, p3, den = m1 - 1, 0, 0, m1
+                    up, down, x = plans[0]
+                    value = prev[m1 - 1][0]
+                num = value * x
+                for w1, w2, w3, v in up:
+                    num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
+                for w1, w2, w3, name, j, v in down:
+                    order = w1 * p1 + w2 * p2 + w3 * p3
+                    factor = v + order
+                    if factor == 0:
+                        raise DenominatorPoleError(
+                            f"downstairs entry {name}[{j}] = {v!r} vanishes at "
+                            f"Pochhammer order {order + 1}"
+                        )
+                    den = den * factor
+                value = div(num, den)
+                row.append(value)
+                shell_sum = shell_sum + value
+                visited = True
+        if not visited:
+            return
+        prev = cur
+        yield shell_sum
+
+
 def eval_f3(
     ps: ParameterSet,
     args: ArgumentTriple,
@@ -157,119 +228,12 @@ def eval_f3(
     """
     backend = classify_backend(ps.all_entries() + args.to_list())
     div = operator.truediv if backend == FLOAT64 else exact_div
-    xs = args.to_list()
-    z1, z2, z3 = (x == 0 for x in xs)
     # A zero argument keeps the walk off its direction, which needs no plan.
-    plans = [None if x == 0 else _direction_plan(ps, d, x) for d, x in enumerate(xs)]
+    plans = [None if x == 0 else _direction_plan(ps, d, x) for d, x in enumerate(args)]
     bounds = numerator_bounds(ps)
     cuts = [FAMILY_COMBO[name] + (b,) for name, b in bounds.items() if b is not None]
-    monitor_start = 1 + max((bound for *_, bound in cuts), default=0)
-
-    total: Number = 0
-    streak = 0
-    shells_summed = 0
-    last_mag: Number = 0
-    converged = False
-    terminated = False
-    recent: deque = deque(maxlen=policy.stall_window + 1)
-    # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
-    # or None where the point lies outside the support.
-    prev: List[List[Optional[Number]]] = []
-
-    for s in range(policy.max_total_degree + 1):
-        if s == 0:
-            cur: List[List[Optional[Number]]] = [[1]]
-            shell_sum: Number = 1
-            visited = True
-        else:
-            cur = []
-            shell_sum = 0
-            visited = False
-            for m1 in range(s + 1):
-                row: List[Optional[Number]] = []
-                cur.append(row)
-                for m2 in range(s - m1 + 1):
-                    m3 = s - m1 - m2
-                    outside = (z1 and m1) or (z2 and m2) or (z3 and m3)
-                    for c1, c2, c3, bound in cuts:
-                        if c1 * m1 + c2 * m2 + c3 * m3 > bound:
-                            outside = True
-                            break
-                    if outside:
-                        row.append(None)
-                        continue
-                    # Step from the predecessor (p1, p2, p3) in the previous
-                    # shell.  The support is a lower set, so that predecessor
-                    # is in it.  The step multiplies in x, divides by the new
-                    # factorial factor m_d (den's start), and every family
-                    # whose order moves with it contributes one fresh linear
-                    # factor.
-                    if m3:
-                        p1, p2, p3, den = m1, m2, m3 - 1, m3
-                        up, down, x = plans[2]
-                        value = prev[m1][m2]
-                    elif m2:
-                        p1, p2, p3, den = m1, m2 - 1, 0, m2
-                        up, down, x = plans[1]
-                        value = prev[m1][m2 - 1]
-                    else:
-                        p1, p2, p3, den = m1 - 1, 0, 0, m1
-                        up, down, x = plans[0]
-                        value = prev[m1 - 1][0]
-                    num = value * x
-                    for w1, w2, w3, v in up:
-                        num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
-                    for w1, w2, w3, name, j, v in down:
-                        order = w1 * p1 + w2 * p2 + w3 * p3
-                        factor = v + order
-                        if factor == 0:
-                            raise DenominatorPoleError(
-                                f"downstairs entry {name}[{j}] = {v!r} vanishes at "
-                                f"Pochhammer order {order + 1}"
-                            )
-                        den = den * factor
-                    value = div(num, den)
-                    row.append(value)
-                    shell_sum = shell_sum + value
-                    visited = True
-        if not visited:
-            # Every remaining shell is empty too: the sum is complete.
-            terminated = True
-            converged = True
-            break
-        total = total + shell_sum
-        shells_summed = s + 1
-        last_mag = abs(shell_sum)
-        recent.append(last_mag)
-        prev = cur
-        if below_threshold(last_mag, abs(total), policy.tol):
-            streak += 1
-            if streak >= policy.stall_window:
-                converged = True
-                break
-        else:
-            streak = 0
-            # Monotone growth after all terminating humps have passed means
-            # the series is running away; stop burning shells on it.
-            if (
-                s >= monitor_start
-                and len(recent) == policy.stall_window + 1
-                and recent[-1] > 0
-                and all(recent[i + 1] >= recent[i] for i in range(len(recent) - 1))
-            ):
-                break
-
-    if strict and not converged:
-        raise NotConvergedError(
-            f"triple series did not settle within degree {policy.max_total_degree}"
-        )
-    return EvaluationResult(
-        value=total,
-        shells_used=shells_summed,
-        last_shell_magnitude=magnitude_as_float(last_mag),
-        converged=converged,
-        terminated_exactly=terminated,
-    )
+    shells = _shell_sums(plans, cuts, div)
+    return adaptive_sum(lambda s: next(shells, None), policy, strict=strict)
 
 
 def eval_pfq(
@@ -295,28 +259,25 @@ def eval_pfq(
     if x == 0:
         bound = 0 if bound is None else min(bound, 0)
 
-    state: Dict[str, Number] = {"prev": 1}
+    def terms() -> Iterator[Number]:
+        prev: Number = 1
+        yield prev
+        for k in itertools.count(1):
+            # After a zero term every later one is zero: stop stepping.
+            if prev != 0:
+                num: Number = prev * x
+                for v in upper:
+                    num = num * (v + k - 1)
+                den: Number = k
+                for j, v in enumerate(lower, start=1):
+                    factor = v + k - 1
+                    if factor == 0:
+                        raise DenominatorPoleError(
+                            f"lower parameter #{j} = {v!r} vanishes at term k={k}"
+                        )
+                    den = den * factor
+                prev = exact_div(num, den)
+            yield prev
 
-    def term(k: int) -> Number:
-        if k == 0:
-            state["prev"] = 1
-            return 1
-        prev = state["prev"]
-        if prev == 0:
-            return 0
-        num: Number = prev * x
-        for v in upper:
-            num = num * (v + k - 1)
-        den: Number = k
-        for j, v in enumerate(lower, start=1):
-            factor = v + k - 1
-            if factor == 0:
-                raise DenominatorPoleError(
-                    f"lower parameter #{j} = {v!r} vanishes at term k={k}"
-                )
-            den = den * factor
-        value = exact_div(num, den)
-        state["prev"] = value
-        return value
-
-    return adaptive_sum(term, policy, exact_bound=bound, strict=strict)
+    it = terms()
+    return adaptive_sum(lambda k: next(it), policy, exact_bound=bound, strict=strict)

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from .errors import (
     DenominatorPoleError,
     F3Error,
+    InvalidInputError,
     InvalidInstanceError,
     PoleAtOneError,
 )
@@ -908,23 +909,34 @@ def instance_from_json(data: Mapping[str, object], backend: str) -> IdentityInst
     {"id": ..., "params": {family: [entries]}, "args": [x1, x2, x3],
      "index": {"family": ..., "i": ...}, "scalars": {name: value}}
     """
+    if not isinstance(data, Mapping):
+        raise InvalidInstanceError(f"instance JSON must be an object, got {data!r}")
     try:
         identity_id = data["id"]
         params = data["params"]
         args = data["args"]
     except KeyError as exc:
         raise InvalidInstanceError(f"instance JSON is missing key {exc}") from None
+    if not isinstance(identity_id, str):
+        raise InvalidInstanceError(f'"id" must be a string, got {identity_id!r}')
     get_rule(identity_id)
     ps = parameter_set_from_json(params, backend)
     triple = arguments_from_json(args, backend)
     idx = None
-    if data.get("index") is not None:
-        raw_idx = data["index"]
-        idx = FamilyIndex(family=raw_idx["family"], i=int(raw_idx.get("i", 1)))
-    scalars = {
-        name: parse_number(value, backend)
-        for name, value in (data.get("scalars") or {}).items()
-    }
+    raw_idx = data.get("index")
+    if raw_idx is not None:
+        if not isinstance(raw_idx, Mapping) or "family" not in raw_idx:
+            raise InvalidInstanceError(
+                f'"index" must be an object with a "family" key, got {raw_idx!r}'
+            )
+        i = raw_idx.get("i", 1)
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise InvalidInstanceError(f'"index" field "i" must be an int, got {i!r}')
+        idx = FamilyIndex(family=raw_idx["family"], i=i)
+    raw_scalars = data.get("scalars") or {}
+    if not isinstance(raw_scalars, Mapping):
+        raise InvalidInstanceError(f'"scalars" must be an object, got {raw_scalars!r}')
+    scalars = {name: parse_number(value, backend) for name, value in raw_scalars.items()}
     return IdentityInstance(
         identity_id=identity_id, ps=ps, args=triple, idx=idx, scalars=scalars
     )
@@ -955,7 +967,7 @@ def _ratio(num: Number, den: Number, what: str) -> Number:
 
 def _check_order(n: int) -> None:
     if not isinstance(n, int) or n < 0:
-        raise ValueError(f"terminating order must be a non-negative int, got {n!r}")
+        raise InvalidInputError(f"terminating order must be a non-negative int, got {n!r}")
 
 
 def binomial_1f0(a: Number, t: Number) -> Number:

@@ -74,7 +74,7 @@ def coerce_number(x: Number, backend: str) -> Number:
                 "supply an int, a Fraction, or a 'p/q' string"
             )
         return x
-    raise ValueError(f"unknown backend {backend!r}")
+    raise InvalidInputError(f"unknown backend {backend!r}")
 
 
 def is_integer_valued(x: Number) -> bool:
@@ -130,7 +130,7 @@ def pochhammer(x: Number, k: int) -> Number:
     Exact for int and Fraction arguments; IEEE for floats.
     """
     if not isinstance(k, int) or k < 0:
-        raise ValueError(f"pochhammer order must be a non-negative int, got {k!r}")
+        raise InvalidInputError(f"pochhammer order must be a non-negative int, got {k!r}")
     result: Number = 1
     for i in range(k):
         result = result * (x + i)
@@ -220,6 +220,10 @@ def adaptive_sum(
     Terms are requested in strictly increasing order, once each, so stateful
     term closures are safe and the result is bitwise reproducible.
 
+    A term of None promises that no later term is nonzero: the sum so far is
+    exact and returned converged and terminated_exactly, with shells_used and
+    last_shell_magnitude taken from the last real term.
+
     exact_bound, when given, promises term(k) == 0 for every k > exact_bound.
     If the bound fits under the cap the slice is summed in full and the result
     is flagged terminated_exactly.
@@ -246,9 +250,12 @@ def adaptive_sum(
     streak = 0
     used = 0
     last_mag: Number = 0
-    converged = False
+    converged = terminated = False
     for k in range(policy.max_total_degree + 1):
         t_k = term(k)
+        if t_k is None:
+            converged = terminated = True
+            break
         total = total + t_k
         used = k + 1
         last_mag = abs(t_k)
@@ -268,5 +275,5 @@ def adaptive_sum(
         shells_used=used,
         last_shell_magnitude=magnitude_as_float(last_mag),
         converged=converged,
-        terminated_exactly=False,
+        terminated_exactly=terminated,
     )

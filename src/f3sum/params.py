@@ -149,25 +149,30 @@ def parse_number(raw, backend: str) -> Number:
     The rational backend reads JSON floats through their decimal spelling, so
     0.1 means exactly 1/10 rather than the nearest binary double.
     """
-    if isinstance(raw, bool):
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise InvalidInputError(f"not a scalar: {raw!r}")
-    if isinstance(raw, str):
-        try:
+    try:
+        if isinstance(raw, str):
             value: Number = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"cannot parse number {raw!r}") from exc
-    elif isinstance(raw, int):
-        value = raw
-    elif isinstance(raw, float):
-        value = Fraction(repr(raw)) if backend == RATIONAL else raw
-    else:
-        raise InvalidInputError(f"not a scalar: {raw!r}")
+        elif isinstance(raw, float) and backend == RATIONAL:
+            value = Fraction(repr(raw))
+        else:
+            value = raw
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"cannot parse number {raw!r}") from exc
     if backend == RATIONAL and isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
-    return coerce_number(value, backend)
+    try:
+        return coerce_number(value, backend)
+    except OverflowError as exc:
+        raise InvalidInputError("number outside the float64 range") from exc
 
 
 def parameter_set_from_json(data: Mapping[str, Sequence], backend: str = FLOAT64) -> ParameterSet:
+    if not isinstance(data, Mapping):
+        raise InvalidInputError(
+            f"params must be an object of family name -> list of scalars, got {data!r}"
+        )
     fields: Dict[str, Tuple[Number, ...]] = {}
     for name, values in data.items():
         if name not in FAMILIES:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import f3sum
+from f3sum import cli
 
 CLI = [sys.executable, "-m", "f3sum.cli"]
 
@@ -153,6 +154,52 @@ class TestCheck:
         assert proc.returncode == 0
         out = json.loads(proc.stdout)
         assert out["residual"] == 0
+
+
+def _instance_json(**changes):
+    return json.dumps(dict(T1A_INSTANCE, **changes))
+
+
+class TestInputErrors:
+    # Malformed input is a typed error naming its field, reported on one
+    # "error: ..." line with exit 1, never a traceback.
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--params", "[1]", "--args", "[0.1, 0, 0]"],
+         "error: params must be an object of family name -> list of scalars, got [1]"),
+        (["eval", "--params", "{}", "--args", "5"],
+         "error: args must be a list of exactly three scalars, got 5"),
+        (["check", "--json", _instance_json(scalars=[1])],
+         'error: "scalars" must be an object, got [1]'),
+        (["check", "--json", _instance_json(args=5)],
+         "error: args must be a list of exactly three scalars, got 5"),
+        (["check", "--json", _instance_json(index={"i": 1})],
+         'error: "index" must be an object with a "family" key, got {\'i\': 1}'),
+        (["check", "--json", _instance_json(index=[1])],
+         'error: "index" must be an object with a "family" key, got [1]'),
+        (["check", "--json", _instance_json(id=5)],
+         'error: "id" must be a string, got 5'),
+        (["check", "--json", _instance_json(index={"family": "a", "i": "x"})],
+         'error: "index" field "i" must be an int, got \'x\''),
+        (["check", "--json", _instance_json(index={"family": "a", "i": 1.5})],
+         'error: "index" field "i" must be an int, got 1.5'),
+    ], ids=[
+        "params-list", "args-int", "scalars-list", "instance-args-int",
+        "index-no-family", "index-list", "id-int", "index-i-text", "index-i-float",
+    ])
+    def test_reported_as_input_error(self, argv, message):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == message
+
+    def test_internal_error_propagates(self, monkeypatch):
+        # Only input errors become exit 1; a bug inside a subcommand must
+        # surface as itself.
+        def broken():
+            raise KeyError("internal bug")
+
+        monkeypatch.setattr(cli, "list_identities", broken)
+        with pytest.raises(KeyError, match="internal bug"):
+            cli.main(["list"])
 
 
 class TestList:

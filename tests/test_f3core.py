@@ -167,6 +167,30 @@ class TestEvalF3:
         with pytest.raises(DenominatorPoleError, match=message):
             eval_f3(ps, ArgumentTriple(0.1, 0.1, 0.1))
 
+    def test_finite_support_runs_to_its_end(self):
+        # The support reaches shell 3; its shell magnitudes do not fall on
+        # the way there, which must not stop the sum before shell 4 is empty.
+        ps = ParameterSet(
+            a=(Fraction(61, 21),), bp=(Fraction(18, 7),), c=(-1,), cp=(-1,),
+            cpp=(-1,), gp=(Fraction(61, 21),), h=(Fraction(9, 7),),
+        )
+        res = eval_f3(ps, ArgumentTriple(Fraction(-1, 3), Fraction(-4, 9), Fraction(1, 3)))
+        assert res.terminated_exactly
+        assert res.shells_used == 4
+        assert res.value == Fraction(-9080, 11907)
+
+    def test_rising_shells_then_convergence(self):
+        # 2F1(2.5, 2.5; 0.35; 0.6) along x1: the shell magnitudes grow for
+        # the first shells, then decay geometrically.
+        policy = TruncationPolicy(max_total_degree=120)
+        ps = ParameterSet(c=(2.5, 2.5), h=(0.35,))
+        res = eval_f3(ps, ArgumentTriple(0.6, 0.0, 0.0), policy)
+        assert res.converged
+        assert res.shells_used > 4
+        reference = eval_pfq([2.5, 2.5], [0.35], 0.6, policy)
+        assert reference.converged
+        assert res.value == pytest.approx(reference.value, rel=1e-12)
+
     def test_divergent_reports_not_converged(self):
         res = eval_f3(ParameterSet(a=(1.0,)), ArgumentTriple(3.0, 3.0, 3.0))
         assert not res.converged

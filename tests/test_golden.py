@@ -25,7 +25,7 @@ from f3sum.suite import exact_instance, random_instance
 
 SUITE_CSV_SHA256 = "3d75b7fbebecee902dbd7b13b1ba55eef430a795105288022b52017ac62e9ade"
 EXACT_VALUES_SHA256 = "4100da0ab6daa0d5b30d9ef4e810fbfed0bcb39198f65b0126d27074110bd463"
-EVAL_F3_SHA256 = "a42bb5ea4829972c2132497bac227508bcb2dcb5c1b9076439d8669fabf72ec9"
+EVAL_F3_SHA256 = "71a6e28b169b529bc46a284b3bd940a9cdb72ababc76eda6f8455ab03666aee1"
 X1_SERIES_SHA256 = "e8559cf20eb64e29cae60a6420307b0af74dbbc52a56d3b5d2d6dd3f2ed6a018"
 
 # Rules whose outer variable is x1: their weights multiply the x1-coupled

@@ -23,6 +23,7 @@ from f3sum import (
     pochhammer,
     validate_instance,
 )
+from f3sum.suite import exact_instance
 
 TIGHT = TruncationPolicy(tol=1e-13, max_total_degree=34, stall_window=3)
 
@@ -351,6 +352,14 @@ class TestCheckReportSemantics:
         monkeypatch.setattr(identities, "_lhs_value", broken)
         with pytest.raises(ValueError, match="internal bug"):
             check_identity(dense_instance("T1a"))
+
+    def test_exact_terminating_sides_both_converge(self):
+        # Both sides are finite sums with residual exactly 0; each must be
+        # reported converged, so the check passes.
+        rep = check_identity(exact_instance("T3a", 176, 1))
+        assert rep.residual == 0
+        assert rep.converged_lhs and rep.converged_rhs
+        assert rep.passed
 
     def test_not_converged_is_not_a_pass(self):
         inst = dense_instance("T1a")

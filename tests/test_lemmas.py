@@ -10,6 +10,7 @@ import pytest
 
 from f3sum import (
     DenominatorPoleError,
+    InvalidInputError,
     PoleAtOneError,
     binomial_1f0,
     eval_pfq,
@@ -58,7 +59,7 @@ class TestVandermonde:
         assert vandermonde_2f1(n, A, C) == exact_series([-n, A], [C])
 
     def test_bad_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             vandermonde_2f1(-1, A, C)
 
 

@@ -69,6 +69,10 @@ class TestCoerceNumber:
         assert coerce_number(0.25, FLOAT64) == 0.25
         assert coerce_number(Fraction(2, 7), RATIONAL) == Fraction(2, 7)
 
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown backend 'decimal'"):
+            coerce_number(1, "decimal")
+
 
 class TestIntegerPredicates:
     @pytest.mark.parametrize("v", [0, -1, -7, Fraction(-4, 1), -3.0, 0.0])
@@ -148,9 +152,9 @@ class TestPochhammer:
         assert pochhammer(0.0, 0) == 1
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             pochhammer(1, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             pochhammer(1, 1.5)
 
     def test_terminating(self):
@@ -253,6 +257,17 @@ class TestAdaptiveSum:
         res = adaptive_sum(lambda k: 0.0 if k else 1.0, policy, exact_bound=50)
         assert res.converged
         assert not res.terminated_exactly
+
+    def test_none_term_ends_the_sum_exactly(self):
+        # None means no later term is nonzero: the sum is complete, and the
+        # diagnostics describe the last real term.
+        terms = [Fraction(1), Fraction(-3, 2), Fraction(1, 4), None]
+        res = adaptive_sum(lambda k: terms[k], TruncationPolicy(), strict=True)
+        assert res.value == Fraction(-1, 4)
+        assert res.shells_used == 3
+        assert res.last_shell_magnitude == 0.25
+        assert res.converged
+        assert res.terminated_exactly
 
     def test_strict_raises(self):
         with pytest.raises(NotConvergedError):

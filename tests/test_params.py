@@ -151,6 +151,16 @@ class TestParseFormat:
         with pytest.raises(InvalidInputError):
             parse_number(raw, RATIONAL)
 
+    @pytest.mark.parametrize("raw, backend", [
+        (float("inf"), RATIONAL),
+        (float("nan"), RATIONAL),
+        (10**400, FLOAT64),
+        ("1e400", FLOAT64),
+    ])
+    def test_parse_rejects_values_outside_the_backend(self, raw, backend):
+        with pytest.raises(InvalidInputError):
+            parse_number(raw, backend)
+
     def test_format_round_trip(self):
         assert format_number(Fraction(3, 7)) == "3/7"
         assert format_number(Fraction(4, 2)) == 2
