@@ -147,6 +147,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
+    if ns.outer_cap < 1:
+        raise CliInputError("--outer-cap must be >= 1")
     if (ns.file is None) == (ns.inline_json is None):
         raise CliInputError("check needs exactly one of --file or --json")
     data = _read_file(ns.file) if ns.file is not None else _load_json(ns.inline_json, "--json")
@@ -172,6 +174,8 @@ def cmd_suite(ns: argparse.Namespace) -> int:
         raise CliInputError("--instances must be >= 1")
     if ns.jobs < 1:
         raise CliInputError("--jobs must be >= 1")
+    if ns.outer_cap < 1:
+        raise CliInputError("--outer-cap must be >= 1")
     config = SuiteConfig(
         seed=ns.seed,
         instances=ns.instances,

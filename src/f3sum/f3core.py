@@ -12,20 +12,34 @@ a full coefficient rebuild.
 
 Each call compiles the walk once before summing.  Per lattice direction a
 flat factor plan lists every parameter entry whose Pochhammer order moves
-with a step along it, with its family's FAMILY_COMBO weights; the upstairs
-termination bounds become linear cuts on the lattice; and the backend,
-classified once, picks the division (float ``/`` or exact ``Fraction``).
-Each shell is a flat triangular list, ``shell[m1][m2]`` for the point
-(m1, m2, s - m1 - m2), so a term finds its predecessor by index, and the walk
-itself looks up no family by name.
+with a step along it, with its family's FAMILY_COMBO weights, and the upstairs
+termination bounds become linear cuts on the lattice.  Each shell is a flat
+triangular list, ``shell[m1][m2]`` for the point (m1, m2, s - m1 - m2), so a
+term finds its predecessor by index, and the walk itself looks up no family
+by name.
+
+The backend, classified once, sets how a step computes.  In float64 a term is
+a float: the step multiplies the upstairs factors into ``term * x``, the
+downstairs ones into ``m_d``, and divides once.  In the rational backend a
+term is an integer pair ``(N, D)`` with ``D > 0``.  Every entry ``v = p/q``
+enters its plan as the int ``p`` with its weights multiplied by ``q``, so its
+step factor ``p + (q*w).order`` is the int ``q * (v + order)``, zero exactly
+when ``v + order`` is; the ``q``s of a direction fold into its argument as
+``(x.num * prod q_down, x.den * prod q_up)``.  A step then multiplies ints
+and reduces the pair with one ``gcd``; a shell sums its pairs over the least
+common denominator and becomes a ``Fraction`` once, as it is yielded.  That
+replaces a chain of ``Fraction`` operations, each with its own gcd, per
+point.
 
 The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
 adds them up under the :class:`~f3sum.numerics.TruncationPolicy`: once the
 shell magnitude stays below tol * max(|sum|, 1) for ``stall_window`` shells in
 a row, the sum stops and reports converged.  When upstairs parameters or zero
-arguments cut the support down to finitely many lattice points the walk
-instead runs off the end of the support; its first empty shell ends the sum
-with an exact, backend-exact value (``terminated_exactly``).
+arguments cut the support down to finitely many lattice points, ``eval_f3``
+passes a bound on its top shell as ``exact_bound`` instead, so the stall rule
+cannot end the sum early: it runs to the walk's first empty shell, and the
+value is backend-exact (``terminated_exactly``).  A support that reaches
+past the degree cap falls back to the stall rule.
 
 ``eval_pfq`` is the ordinary generalized hypergeometric series under the same
 policy, used as an independent reference for the closed-form summation lemmas.
@@ -34,9 +48,10 @@ policy, used as an independent reference for the closed-form summation lemmas.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from math import gcd
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DenominatorPoleError, InvalidInputError
 from .numerics import (
@@ -120,49 +135,85 @@ _DIRECTION_FAMILIES = tuple(
 
 
 def _direction_plan(
-    ps: ParameterSet, direction: int, x: Number
-) -> Tuple[List[tuple], List[tuple], Number]:
+    ps: ParameterSet, direction: int, x: Number, exact: bool
+) -> Tuple[List[tuple], List[tuple], object]:
     """The factors of one lattice step along ``direction``, flattened once.
 
-    Returns ``(upstairs, downstairs, x)``: upstairs entries as
-    ``(w1, w2, w3, value)`` and downstairs entries as
+    Returns ``(upstairs, downstairs, x)``.  In float64, upstairs entries are
+    ``(w1, w2, w3, value)`` and downstairs entries
     ``(w1, w2, w3, family, j, value)``, where ``w`` is the family's
     FAMILY_COMBO row and ``j`` the 1-based entry index.  Families keep their
     families_along order and entries their family order, because the float
     product depends on it.
+
+    With ``exact`` set, each entry ``v = p/q`` becomes the int ``p`` with its
+    weights pre-multiplied by ``q``, so its step factor ``p + (q*w).order`` is
+    the int ``q * (v + order)``: upstairs ``(q*w1, q*w2, q*w3, p)``, and
+    downstairs ``(q*w1, q*w2, q*w3, p, family, j, value)``.  The ``q``s fold
+    into the argument, which becomes the int pair
+    ``(x.num * prod q_down, x.den * prod q_up)``.
     """
     up_families, down_families = _DIRECTION_FAMILIES[direction]
-    upstairs = [w + (v,) for name, w in up_families for v in getattr(ps, name)]
-    downstairs = [
-        w + (name, j, v)
-        for name, w in down_families
-        for j, v in enumerate(getattr(ps, name), start=1)
-    ]
-    return upstairs, downstairs, x
+    if not exact:
+        upstairs = [w + (v,) for name, w in up_families for v in getattr(ps, name)]
+        downstairs = [
+            w + (name, j, v)
+            for name, w in down_families
+            for j, v in enumerate(getattr(ps, name), start=1)
+        ]
+        return upstairs, downstairs, x
+    xn, xd = x.numerator, x.denominator
+    upstairs = []
+    for name, (w1, w2, w3) in up_families:
+        for v in getattr(ps, name):
+            q = v.denominator
+            upstairs.append((q * w1, q * w2, q * w3, v.numerator))
+            xd *= q
+    downstairs = []
+    for name, (w1, w2, w3) in down_families:
+        for j, v in enumerate(getattr(ps, name), start=1):
+            q = v.denominator
+            downstairs.append((q * w1, q * w2, q * w3, v.numerator, name, j, v))
+            xn *= q
+    return upstairs, downstairs, (xn, xd)
+
+
+def _pole(name: str, j: int, v: Number, order: int) -> DenominatorPoleError:
+    return DenominatorPoleError(
+        f"downstairs entry {name}[{j}] = {v!r} vanishes at "
+        f"Pochhammer order {order + 1}"
+    )
 
 
 def _shell_sums(
-    plans: List[Optional[Tuple[List[tuple], List[tuple], Number]]],
+    plans: List[Optional[Tuple[List[tuple], List[tuple], object]]],
     cuts: List[tuple],
-    div: Callable[[Number, Number], Number],
+    exact: bool,
 ) -> Iterator[Number]:
     """Yield the sum of each shell s = 0, 1, 2, ... of the lattice walk.
 
     ``plans[d]`` is None where argument d is zero, which keeps the walk off
     that direction.  The generator returns at the first empty shell: the
     support is a lower set, so every later shell is empty too.
+
+    With ``exact`` set (plans built by ``_direction_plan(..., exact=True)``)
+    each term is an int pair ``(N, D)``, D > 0, reduced by one gcd per point,
+    and each shell sum is an int pair made a Fraction once, as it is yielded.
+    Otherwise terms are floats and each step divides once.
     """
     z1, z2, z3 = (plan is None for plan in plans)
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
     # or None where the point lies outside the support.
-    prev: List[List[Optional[Number]]] = [[1]]
+    prev: List[List[object]] = [[(1, 1) if exact else 1]]
     yield 1
     for s in itertools.count(1):
-        cur: List[List[Optional[Number]]] = []
+        cur: List[List[object]] = []
         shell_sum: Number = 0
+        # The exact shell sum is shell_sum / sum_den.
+        sum_den = 1
         visited = False
         for m1 in range(s + 1):
-            row: List[Optional[Number]] = []
+            row: List[object] = []
             cur.append(row)
             for m2 in range(s - m1 + 1):
                 m3 = s - m1 - m2
@@ -191,6 +242,33 @@ def _shell_sums(
                     p1, p2, p3, den = m1 - 1, 0, 0, m1
                     up, down, x = plans[0]
                     value = prev[m1 - 1][0]
+                visited = True
+                if exact:
+                    # Small factors first, then one product with the big
+                    # term, one gcd, and the sign kept in the numerator.
+                    xn, xd = x
+                    for w1, w2, w3, v in up:
+                        xn = xn * (v + (w1 * p1 + w2 * p2 + w3 * p3))
+                    den = den * xd
+                    for w1, w2, w3, v, name, j, entry in down:
+                        factor = v + (w1 * p1 + w2 * p2 + w3 * p3)
+                        if factor == 0:
+                            c1, c2, c3 = FAMILY_COMBO[name]
+                            raise _pole(name, j, entry, c1 * p1 + c2 * p2 + c3 * p3)
+                        den = den * factor
+                    n = value[0] * xn
+                    d = value[1] * den
+                    g = gcd(n, d)
+                    if d < 0:
+                        g = -g
+                    n //= g
+                    d //= g
+                    row.append((n, d))
+                    # Over the least common denominator of the shell so far.
+                    g = gcd(sum_den, d)
+                    shell_sum = shell_sum * (d // g) + n * (sum_den // g)
+                    sum_den = sum_den // g * d
+                    continue
                 num = value * x
                 for w1, w2, w3, v in up:
                     num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
@@ -198,19 +276,45 @@ def _shell_sums(
                     order = w1 * p1 + w2 * p2 + w3 * p3
                     factor = v + order
                     if factor == 0:
-                        raise DenominatorPoleError(
-                            f"downstairs entry {name}[{j}] = {v!r} vanishes at "
-                            f"Pochhammer order {order + 1}"
-                        )
+                        raise _pole(name, j, v, order)
                     den = den * factor
-                value = div(num, den)
+                value = num / den
                 row.append(value)
                 shell_sum = shell_sum + value
-                visited = True
         if not visited:
             return
         prev = cur
-        yield shell_sum
+        yield Fraction(shell_sum, sum_den) if exact else shell_sum
+
+
+def _top_shell(plans: List[Optional[tuple]], cuts: List[tuple], cap: int) -> Optional[int]:
+    """A bound on m1 + m2 + m3 over the support, for ``adaptive_sum``'s
+    ``exact_bound``; None when the support is infinite or reaches past ``cap``.
+
+    Only live directions (nonzero argument) count.  Their cut bounds add up
+    to a bound, and a cut that moves with every live direction bounds the sum
+    by itself.  When neither fits under the cap, the support, a lower set,
+    ends by the cap exactly when shell cap + 1 holds none of its points.
+    """
+    live = [d for d, plan in enumerate(plans) if plan is not None]
+    total = 0
+    for d in live:
+        along = [cut[3] for cut in cuts if cut[d]]
+        if not along:
+            return None
+        total += min(along)
+    top = min([total] + [cut[3] for cut in cuts if all(cut[d] for d in live)])
+    if top <= cap:
+        return top
+    s = cap + 1
+    for m1 in range(s + 1) if 0 in live else (0,):
+        for m2 in range(s - m1 + 1) if 1 in live else (0,):
+            m3 = s - m1 - m2
+            if (2 in live or not m3) and all(
+                c1 * m1 + c2 * m2 + c3 * m3 <= b for c1, c2, c3, b in cuts
+            ):
+                return None
+    return cap
 
 
 def eval_f3(
@@ -226,14 +330,16 @@ def eval_f3(
     ``strict`` set, failing to converge within the degree cap raises
     NotConvergedError instead of returning a partial sum.
     """
-    backend = classify_backend(ps.all_entries() + args.to_list())
-    div = operator.truediv if backend == FLOAT64 else exact_div
+    exact = classify_backend(ps.all_entries() + args.to_list()) != FLOAT64
     # A zero argument keeps the walk off its direction, which needs no plan.
-    plans = [None if x == 0 else _direction_plan(ps, d, x) for d, x in enumerate(args)]
+    plans = [
+        None if x == 0 else _direction_plan(ps, d, x, exact) for d, x in enumerate(args)
+    ]
     bounds = numerator_bounds(ps)
     cuts = [FAMILY_COMBO[name] + (b,) for name, b in bounds.items() if b is not None]
-    shells = _shell_sums(plans, cuts, div)
-    return adaptive_sum(lambda s: next(shells, None), policy, strict=strict)
+    shells = _shell_sums(plans, cuts, exact)
+    top = _top_shell(plans, cuts, policy.max_total_degree)
+    return adaptive_sum(lambda s: next(shells, None), policy, exact_bound=top, strict=strict)
 
 
 def eval_pfq(

@@ -225,8 +225,8 @@ def adaptive_sum(
     last_shell_magnitude taken from the last real term.
 
     exact_bound, when given, promises term(k) == 0 for every k > exact_bound.
-    If the bound fits under the cap the slice is summed in full and the result
-    is flagged terminated_exactly.
+    If the bound fits under the cap the slice is summed in full, or up to a
+    None term, and the result is flagged terminated_exactly.
 
     Hitting the cap without satisfying the stall rule leaves converged False
     (and raises NotConvergedError when strict is set); the partial sum is
@@ -235,12 +235,17 @@ def adaptive_sum(
     if exact_bound is not None and exact_bound <= policy.max_total_degree:
         total: Number = 0
         last: Number = 0
+        used = 0
         for k in range(exact_bound + 1):
-            last = term(k)
+            t_k = term(k)
+            if t_k is None:
+                break
+            last = t_k
             total = total + last
+            used = k + 1
         return EvaluationResult(
             value=total,
-            shells_used=exact_bound + 1,
+            shells_used=used,
             last_shell_magnitude=magnitude_as_float(abs(last)),
             converged=True,
             terminated_exactly=True,

@@ -191,6 +191,19 @@ class TestInputErrors:
         assert proc.returncode == 1
         assert proc.stderr.strip() == message
 
+    @pytest.mark.parametrize("cap", ["-3", "0"])
+    @pytest.mark.parametrize("command", ["check", "suite"])
+    def test_outer_cap_below_one(self, command, cap, tmp_path):
+        # Checked before any work: a cap below 1 used to reach the outer
+        # policy and come back as a failed report with exit 2.
+        out = tmp_path / "r.csv"
+        extra = ["--json", json.dumps(T1A_INSTANCE)] if command == "check" else ["--out", str(out)]
+        proc = run_cli(command, "--outer-cap", cap, *extra, cwd=str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == "error: --outer-cap must be >= 1"
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_internal_error_propagates(self, monkeypatch):
         # Only input errors become exit 1; a bug inside a subcommand must
         # surface as itself.

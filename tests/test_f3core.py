@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f3sum import (
     ArgumentTriple,
@@ -45,6 +46,9 @@ def naive_f3(ps, args, degree):
                 )
     return total
 
+
+X5 = Fraction(1, 10**5)
+X6 = Fraction(1, 10**6)
 
 DENSE_PS = ParameterSet(
     a=(1.1,), b=(0.7,), bp=(0.9,), bpp=(1.3,),
@@ -167,6 +171,42 @@ class TestEvalF3:
         with pytest.raises(DenominatorPoleError, match=message):
             eval_f3(ps, ArgumentTriple(0.1, 0.1, 0.1))
 
+    @pytest.mark.parametrize("family", DENOMINATOR_FAMILIES)
+    def test_pole_raises_rational(self, family):
+        # The int -1 sits next to a sevenths sibling, so the exact step scales
+        # the two entries by different denominators before it tests for zero.
+        ps = ParameterSet(a=(Fraction(3, 7),), **{family: (Fraction(5, 7), -1)})
+        message = (
+            f"downstairs entry {family}[2] = -1 vanishes at Pochhammer order 2"
+        )
+        args = ArgumentTriple(Fraction(1, 10), Fraction(1, 10), Fraction(1, 10))
+        with pytest.raises(DenominatorPoleError) as info:
+            eval_f3(ps, args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("ps, args, shells, exact", [
+        # From shell 3 on every shell is below tol * |sum|, so the stall rule
+        # alone stops at shell 5 and misses shells 6..10 of the support.
+        (ParameterSet(c=(-10,)), (X6, 0, 0), 11, (1 - X6) ** 10),
+        (ParameterSet(a=(-8,)), (X5, X5, X5), 9, (1 - 3 * X5) ** 8),
+        # The per-direction bounds add up to 30, past the degree cap of 28,
+        # and no cut moves with all three directions; shell 29 holds no
+        # support point, so the support ends by the cap (at shell 20).
+        (ParameterSet(b=(-10,), cpp=(-10,)), (X6, X6, X6), 21,
+         (1 - 2 * X6) ** 10 * (1 - X6) ** 10),
+    ], ids=["c-along-x1", "a-all-directions", "b-pair-and-cpp"])
+    def test_finite_support_outlasts_the_stall_rule(self, ps, args, shells, exact):
+        res = eval_f3(ps, ArgumentTriple(*args))
+        assert res.terminated_exactly
+        assert res.shells_used == shells
+        assert res.value == exact
+
+    def test_finite_support_float_is_summed_to_its_end(self):
+        res = eval_f3(ParameterSet(c=(-10.0,)), ArgumentTriple(1e-6, 0.0, 0.0))
+        assert res.terminated_exactly
+        assert res.shells_used == 11
+        assert res.value == pytest.approx((1 - 1e-6) ** 10, rel=1e-15)
+
     def test_finite_support_runs_to_its_end(self):
         # The support reaches shell 3; its shell magnitudes do not fall on
         # the way there, which must not stop the sum before shell 4 is empty.
@@ -257,3 +297,57 @@ class TestEvalPfq:
     def test_divergent_strict(self):
         with pytest.raises(NotConvergedError):
             eval_pfq([2.0, 3.0], [1.0], 1.5, strict=True)
+
+
+# Exact entries for the property test: ints, and Fractions of both signs
+# that are never integers, so no downstairs factor can vanish.
+_NON_INTEGER = st.builds(
+    Fraction,
+    st.integers(-20, 20).filter(lambda p: p % 6),
+    st.just(6),
+)
+_UPSTAIRS = st.one_of(st.integers(-3, 4), _NON_INTEGER)
+_DOWNSTAIRS = st.one_of(st.integers(1, 4), _NON_INTEGER)
+# Tiny arguments let the stall rule fire inside the support.
+_ARGUMENT = st.one_of(
+    st.just(0),
+    st.sampled_from((1, -1, Fraction(1, 10**6), Fraction(-1, 10**6))),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(2, 9)),
+)
+
+
+@st.composite
+def finite_support_cases(draw):
+    """A rational parameter set whose ``a`` cut makes the support finite,
+    with mixed int/Fraction entries and arguments that may be zero."""
+    fields = {}
+    for name in FAMILY_COMBO:
+        entries = _DOWNSTAIRS if name in DENOMINATOR_FAMILIES else _UPSTAIRS
+        fields[name] = tuple(draw(st.lists(entries, max_size=2)))
+    top = draw(st.integers(0, 6))
+    fields["a"] = fields["a"] + (-top,)
+    args = tuple(draw(_ARGUMENT) for _ in range(3))
+    return ParameterSet(**fields), args, top
+
+
+def naive_exact_f3(ps, args, top):
+    """Every lattice point up to shell ``top`` priced from scratch."""
+    total = 0
+    for m1 in range(top + 1):
+        for m2 in range(top + 1 - m1):
+            for m3 in range(top + 1 - m1 - m2):
+                power = Fraction(1)
+                for x, m in zip(args, (m1, m2, m3)):
+                    power *= Fraction(x) ** m / math.factorial(m)
+                total += lambda_coeff(ps, m1, m2, m3) * power
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_support_cases())
+def test_rational_finite_support_equals_naive_triple_loop(case):
+    ps, args, top = case
+    res = eval_f3(ps, ArgumentTriple(*args))
+    assert res.terminated_exactly
+    assert isinstance(res.value, (int, Fraction))
+    assert res.value == naive_exact_f3(ps, args, top)

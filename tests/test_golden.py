@@ -20,6 +20,7 @@ from f3sum import (
     run_suite,
     write_rows_csv,
 )
+from f3sum.numerics import RATIONAL
 from f3sum.params import FAMILIES, NUMERATOR_FAMILIES, families_along
 from f3sum.suite import exact_instance, random_instance
 
@@ -27,6 +28,7 @@ SUITE_CSV_SHA256 = "3d75b7fbebecee902dbd7b13b1ba55eef430a795105288022b52017ac62e
 EXACT_VALUES_SHA256 = "4100da0ab6daa0d5b30d9ef4e810fbfed0bcb39198f65b0126d27074110bd463"
 EVAL_F3_SHA256 = "71a6e28b169b529bc46a284b3bd940a9cdb72ababc76eda6f8455ab03666aee1"
 X1_SERIES_SHA256 = "e8559cf20eb64e29cae60a6420307b0af74dbbc52a56d3b5d2d6dd3f2ed6a018"
+SUITE_RATIONAL_CSV_SHA256 = "55b147ef251e629a11caba7f35e4f1b2476364d276f593ee5c7dc6f6ff30b773"
 
 # Rules whose outer variable is x1: their weights multiply the x1-coupled
 # families in families_along(0) order.
@@ -39,6 +41,13 @@ def test_float_suite_csv_digest(tmp_path):
     path = tmp_path / "suite.csv"
     write_rows_csv(rows, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_CSV_SHA256
+
+
+def test_rational_suite_csv_digest(tmp_path):
+    _, rows = run_suite(SuiteConfig(seed=0, instances=5, backend=RATIONAL))
+    path = tmp_path / "suite.csv"
+    write_rows_csv(rows, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_RATIONAL_CSV_SHA256
 
 
 def test_exact_rule_values_digest():
