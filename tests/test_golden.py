@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from f3sum import (
     IDENTITY_IDS,
+    RATIONAL,
     ArgumentTriple,
     ParameterSet,
     SuiteConfig,
@@ -20,7 +21,6 @@ from f3sum import (
     run_suite,
     write_rows_csv,
 )
-from f3sum.numerics import RATIONAL
 from f3sum.params import FAMILIES, NUMERATOR_FAMILIES, families_along
 from f3sum.suite import exact_instance, random_instance
 
