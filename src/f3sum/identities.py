@@ -128,26 +128,23 @@ class WeightShape:
     """Declarative form of an outer weight w(k).
 
     upper/lower families enter as whole-family Pochhammer products of order
-    k; ``omit_indexed`` excludes the instance's indexed entry from its own
-    family.  ``extra_upper``/``extra_lower`` contribute scalar Pochhammer
+    k, except that an upper family leaves out the instance's indexed entry.
+    ``extra_upper``/``extra_lower`` contribute scalar Pochhammer
     factors, ``power_base`` a geometric factor base**k, ``double_step`` the
     quadratic factor :func:`dd_weight`.  An implicit 1/k! always applies.
     """
 
     upper_families: Tuple[str, ...] = ()
     lower_families: Tuple[str, ...] = ()
-    omit_indexed: bool = False
     extra_upper: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: ()
     extra_lower: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: ()
     power_base: Callable[[IdentityInstance], Number] = lambda inst: 1
     double_step: bool = False
 
 
-def _family_minus_index(
-    inst: IdentityInstance, name: str, omit: bool
-) -> Tuple[Number, ...]:
+def _family_minus_index(inst: IdentityInstance, name: str) -> Tuple[Number, ...]:
     values = inst.ps.family(name)
-    if omit and inst.idx is not None and inst.idx.family == name:
+    if inst.idx is not None and inst.idx.family == name:
         j = inst.idx.i - 1
         values = values[:j] + values[j + 1:]
     return values
@@ -156,9 +153,7 @@ def _family_minus_index(
 def weight_value(shape: WeightShape, inst: IdentityInstance, k: int) -> Number:
     num: Number = 1
     for name in shape.upper_families:
-        num = num * pochhammer_product(
-            _family_minus_index(inst, name, shape.omit_indexed), k
-        )
+        num = num * pochhammer_product(_family_minus_index(inst, name), k)
     for v in shape.extra_upper(inst):
         num = num * pochhammer(v, k)
     if shape.double_step:
@@ -187,7 +182,7 @@ def weight_bound(shape: WeightShape, inst: IdentityInstance) -> Optional[int]:
     never terminates."""
     bounds: List[int] = []
     for name in shape.upper_families:
-        b = termination_bound(_family_minus_index(inst, name, shape.omit_indexed))
+        b = termination_bound(_family_minus_index(inst, name))
         if b is not None:
             bounds.append(b)
     for v in shape.extra_upper(inst):
@@ -425,7 +420,6 @@ def _x1_series_rule(
         weight=WeightShape(
             upper_families=upper,
             lower_families=lower,
-            omit_indexed=True,
             extra_upper=extra_upper,
             extra_lower=extra_lower,
             power_base=power_base,

@@ -34,7 +34,6 @@ Number = Union[int, float, Fraction]
 
 FLOAT64 = "float64"
 RATIONAL = "rational"
-BACKENDS = (FLOAT64, RATIONAL)
 
 
 def classify_backend(values: Iterable[Number]) -> str:
@@ -232,31 +231,14 @@ def adaptive_sum(
     (and raises NotConvergedError when strict is set); the partial sum is
     still returned.
     """
-    if exact_bound is not None and exact_bound <= policy.max_total_degree:
-        total: Number = 0
-        last: Number = 0
-        used = 0
-        for k in range(exact_bound + 1):
-            t_k = term(k)
-            if t_k is None:
-                break
-            last = t_k
-            total = total + last
-            used = k + 1
-        return EvaluationResult(
-            value=total,
-            shells_used=used,
-            last_shell_magnitude=magnitude_as_float(abs(last)),
-            converged=True,
-            terminated_exactly=True,
-        )
-
-    total = 0
+    exact = exact_bound is not None and exact_bound <= policy.max_total_degree
+    limit = exact_bound if exact else policy.max_total_degree
+    total: Number = 0
     streak = 0
     used = 0
     last_mag: Number = 0
-    converged = terminated = False
-    for k in range(policy.max_total_degree + 1):
+    converged = terminated = exact
+    for k in range(limit + 1):
         t_k = term(k)
         if t_k is None:
             converged = terminated = True
@@ -264,6 +246,8 @@ def adaptive_sum(
         total = total + t_k
         used = k + 1
         last_mag = abs(t_k)
+        if exact:
+            continue
         if below_threshold(last_mag, abs(total), policy.tol):
             streak += 1
             if streak >= policy.stall_window:

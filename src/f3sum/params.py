@@ -276,40 +276,3 @@ def in_support(bounds: Mapping[str, Optional[int]], m1: int, m2: int, m3: int) -
             return False
     return True
 
-
-def validate(ps: ParameterSet) -> List[Tuple[str, int]]:
-    """Flag downstairs entries whose Pochhammer factor vanishes somewhere in
-    the support of the series.
-
-    Returns (family, 1-based index) pairs.  A nonpositive integer downstairs
-    is harmless when every lattice point in the support stays short of the
-    zero factor; that happens when an upstairs bound cuts the support first.
-    """
-    bounds = numerator_bounds(ps)
-    warnings: List[Tuple[str, int]] = []
-    for name in DENOMINATOR_FAMILIES:
-        for j, v in enumerate(ps.family(name), start=1):
-            if not is_nonpositive_integer(v):
-                continue
-            pole_order = 1 - int(v)  # smallest Pochhammer order with a zero factor
-            if _support_reaches(bounds, name, pole_order):
-                warnings.append((name, j))
-    return warnings
-
-
-def _support_reaches(
-    bounds: Mapping[str, Optional[int]], family: str, order: int
-) -> bool:
-    """Does some support point give this family a Pochhammer order >= order?
-
-    If reachable at all, it is reachable inside the box [0, order]^3, so a
-    finite scan decides the question exactly.
-    """
-    for m1 in range(order + 1):
-        for m2 in range(order + 1):
-            for m3 in range(order + 1):
-                if combo_degree(family, m1, m2, m3) < order:
-                    continue
-                if in_support(bounds, m1, m2, m3):
-                    return True
-    return False

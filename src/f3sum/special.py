@@ -1,77 +1,96 @@
 """Classical triple hypergeometric functions as parameter-set embeddings.
 
-Each constructor places the parameters of a well-known three-variable series
-into the fourteen-family layout of :mod:`f3sum.params`, so the general engine
-evaluates the classical function directly:
-
-* ``lauricella_fa3``: one upstairs parameter of full order m1+m2+m3, one
-  upstairs and one downstairs parameter per single index.
-* ``lauricella_fd3``: one upstairs parameter and one downstairs parameter of
-  full order, one upstairs parameter per single index.
-* ``srivastava_ha``: three upstairs parameters on the index pairs m3+m1,
-  m1+m2, m2+m3, one downstairs parameter on m1 and one on m2+m3.
-
-``check_special_case`` exercises each embedded function through whichever
-resummation rule applies to it wholesale, confirming the embedding transforms
-exactly as the classical function does.
+Each classical three-variable series is a choice of the families of
+:mod:`f3sum.params` that carry its parameters, so the general engine
+evaluates it directly.  ``LAYOUTS`` has one row per function (see
+:class:`Layout`); adding a function is one row plus an independent oracle of
+its series definition in the tests.  ``special_params`` builds the parameter
+set of a row, and ``check_special_case`` runs it through the row's rule,
+confirming that the embedding transforms as the classical function does.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from .errors import InvalidInstanceError
+from .errors import InvalidInputError, InvalidInstanceError
 from .f3core import ArgumentTriple
-from .identities import CheckReport, IdentityInstance, check_identity
+from .identities import CheckReport, IdentityInstance, check_identity, get_rule
 from .numerics import Number, TruncationPolicy
 from .params import FamilyIndex, ParameterSet
 
-SPECIAL_KINDS: Tuple[str, ...] = ("fa3", "fd3", "ha")
+
+@dataclass(frozen=True)
+class Layout:
+    """One classical function's place in the general series.
+
+    families  the family each classical parameter fills, in classical
+              argument order,
+    rule      the rule that checks the whole function; a rule with an
+              indexed family acts on entry 1 of that family,
+    draws     the rational suite's draw for each parameter: ``-n`` (the
+              instance order), ``-m`` (a fresh order), ``up`` (a positive
+              seventh) or ``down`` (1 + a positive seventh).
+    """
+
+    families: Tuple[str, ...]
+    rule: str
+    draws: Tuple[str, ...]
 
 
-def lauricella_fa3(
-    a: Number, b1: Number, b2: Number, b3: Number,
-    c1: Number, c2: Number, c3: Number,
-) -> ParameterSet:
-    """Parameter layout whose series is
-    sum (a)_(m1+m2+m3) (b1)_m1 (b2)_m2 (b3)_m3 / ((c1)_m1 (c2)_m2 (c3)_m3)
-        * x1^m1 x2^m2 x3^m3 / (m1! m2! m3!)."""
-    return ParameterSet(a=(a,), c=(b1,), cp=(b2,), cpp=(b3,), h=(c1,), hp=(c2,), hpp=(c3,))
+# Each comment gives the coefficient of x1^m1 x2^m2 x3^m3 / (m1! m2! m3!),
+# with the parameters named in classical argument order.
+LAYOUTS: Dict[str, Layout] = {
+    # Lauricella F_A(a, b1, b2, b3; c1, c2, c3):
+    # (a)_(m1+m2+m3) (b1)_m1 (b2)_m2 (b3)_m3 / ((c1)_m1 (c2)_m2 (c3)_m3)
+    "fa3": Layout(("a", "c", "cp", "cpp", "h", "hp", "hpp"), "T1a",
+                  ("-n", "up", "up", "up", "down", "down", "down")),
+    # Lauricella F_D(a, b1, b2, b3; c):
+    # (a)_(m1+m2+m3) (b1)_m1 (b2)_m2 (b3)_m3 / (c)_(m1+m2+m3)
+    "fd3": Layout(("a", "c", "cp", "cpp", "e"), "T1a",
+                  ("-n", "up", "up", "up", "down")),
+    # Srivastava H_A(a, b1, b2; c1, c2):
+    # (a)_(m1+m3) (b1)_(m1+m2) (b2)_(m2+m3) / ((c1)_m1 (c2)_(m2+m3));
+    # T2x1's weight collapses to the classical 2F1-style ratio here.
+    "ha": Layout(("bpp", "b", "bp", "h", "gp"), "T2x1",
+                 ("-n", "-m", "up", "down", "down")),
+}
+
+SPECIAL_KINDS: Tuple[str, ...] = tuple(LAYOUTS)
 
 
-def lauricella_fd3(a: Number, b1: Number, b2: Number, b3: Number, c: Number) -> ParameterSet:
-    """Parameter layout whose series is
-    sum (a)_(m1+m2+m3) (b1)_m1 (b2)_m2 (b3)_m3 / (c)_(m1+m2+m3)
-        * x1^m1 x2^m2 x3^m3 / (m1! m2! m3!)."""
-    return ParameterSet(a=(a,), c=(b1,), cp=(b2,), cpp=(b3,), e=(c,))
+def get_layout(kind: str) -> Layout:
+    try:
+        return LAYOUTS[kind]
+    except KeyError:
+        raise InvalidInstanceError(
+            f"unknown special case {kind!r}; expected one of {SPECIAL_KINDS}"
+        ) from None
 
 
-def srivastava_ha(a: Number, b1: Number, b2: Number, c1: Number, c2: Number) -> ParameterSet:
-    """Parameter layout whose series is
-    sum (a)_(m1+m3) (b1)_(m1+m2) (b2)_(m2+m3) / ((c1)_m1 (c2)_(m2+m3))
-        * x1^m1 x2^m2 x3^m3 / (m1! m2! m3!)."""
-    return ParameterSet(bpp=(a,), b=(b1,), bp=(b2,), h=(c1,), gp=(c2,))
+def special_params(kind: str, *values: Number) -> ParameterSet:
+    """Parameter set whose series is the classical function ``kind`` with
+    these parameters, given in its classical argument order."""
+    families = get_layout(kind).families
+    if len(values) != len(families):
+        raise InvalidInputError(
+            f"special case {kind!r} takes {len(families)} parameters, got {len(values)}"
+        )
+    fields: Dict[str, Tuple[Number, ...]] = {}
+    for family, value in zip(families, values):
+        fields[family] = fields.get(family, ()) + (value,)
+    return ParameterSet(**fields)
 
 
 def special_case_instance(
     kind: str, ps: ParameterSet, args: ArgumentTriple, t: Number
 ) -> IdentityInstance:
-    """Wrap an embedded classical function as a rule instance.
-
-    The full-order upstairs functions go through the all-argument rescale
-    rule on their single a-entry; the pair-order function goes through the
-    x1-translation rule, whose weight collapses to the classical
-    2F1-style ratio for this layout.
-    """
-    if kind in ("fa3", "fd3"):
-        return IdentityInstance(
-            identity_id="T1a", ps=ps, args=args,
-            idx=FamilyIndex("a", 1), scalars={"t": t},
-        )
-    if kind == "ha":
-        return IdentityInstance(identity_id="T2x1", ps=ps, args=args, scalars={"t": t})
-    raise InvalidInstanceError(
-        f"unknown special case {kind!r}; expected one of {SPECIAL_KINDS}"
+    """Wrap an embedded classical function as an instance of its layout's rule."""
+    rule = get_rule(get_layout(kind).rule)
+    idx = None if rule.indexed_family is None else FamilyIndex(rule.indexed_family, 1)
+    return IdentityInstance(
+        identity_id=rule.identity_id, ps=ps, args=args, idx=idx, scalars={"t": t}
     )
 
 

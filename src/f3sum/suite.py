@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import F3Error
+from .errors import F3Error, InvalidInstanceError
 from .f3core import ArgumentTriple, eval_pfq
 from .identities import (
     IDENTITY_IDS,
@@ -46,7 +46,7 @@ from .identities import (
 )
 from .numerics import FLOAT64, RATIONAL, Number, TruncationPolicy
 from .params import FAMILIES, FamilyIndex, ParameterSet, families_along
-from .special import SPECIAL_KINDS, check_special_case, lauricella_fa3, lauricella_fd3, srivastava_ha
+from .special import SPECIAL_KINDS, check_special_case, get_layout, special_params
 
 LEMMA_NAMES: Tuple[str, ...] = (
     "binomial_1f0",
@@ -98,6 +98,8 @@ def lemma_case(name: str, seed: int, index: int, max_order: int = 15) -> LemmaCa
     Rejection-samples until both the closed form and the series are free of
     poles; the RNG stream is a pure function of (seed, name, index).
     """
+    if name not in LEMMA_NAMES:
+        raise InvalidInstanceError(f"unknown lemma {name!r}; expected one of {LEMMA_NAMES}")
     rng = random.Random(f"{seed}:{name}:{index}")
     for _ in range(500):
         n = rng.randrange(0, max_order + 1)
@@ -135,8 +137,6 @@ def lemma_case(name: str, seed: int, index: int, max_order: int = 15) -> LemmaCa
                     (half_a, 1 + a - b, 1 + 2 * b - n), 1,
                     watson_4f3(n, a, b),
                 )
-            else:
-                raise ValueError(f"unknown lemma {name!r}")
             # The series must be summable in full as well.
             eval_pfq(case.upper, case.lower, case.argument)
             return case
@@ -312,25 +312,26 @@ def exact_instance(identity_id: str, seed: int, index: int) -> IdentityInstance:
 # Special-case tuples.
 
 
+# The rational draw of each parameter code in a special-case layout, given
+# the instance order n.
+_SPECIAL_DRAWS: Dict[str, Callable[[random.Random, int], Number]] = {
+    "-n": lambda rng, n: -n,
+    "-m": lambda rng, n: -rng.randrange(1, 7),
+    "up": lambda rng, n: _pos_seventh(rng),
+    "down": lambda rng, n: 1 + _pos_seventh(rng),
+}
+
+
 def special_case_inputs(
     kind: str, seed: int, index: int, backend: str = FLOAT64
 ) -> Tuple[ParameterSet, ArgumentTriple, Number]:
     """Seeded inputs (embedded parameter set, arguments, t) for one classical
-    function.  The rational backend substitutes terminating upper parameters
-    so the check is exact."""
+    function.  The rational backend draws each parameter as its layout says,
+    with terminating upper parameters so the check is exact."""
+    layout = get_layout(kind)
     rng = random.Random(f"{seed}:{kind}:{index}")
     if backend == FLOAT64:
-        def val() -> float:
-            return rng.uniform(0.3, 2.5)
-
-        if kind == "fa3":
-            ps = lauricella_fa3(val(), val(), val(), val(), val(), val(), val())
-        elif kind == "fd3":
-            ps = lauricella_fd3(val(), val(), val(), val(), val())
-        elif kind == "ha":
-            ps = srivastava_ha(val(), val(), val(), val(), val())
-        else:
-            raise ValueError(f"unknown special case {kind!r}")
+        ps = special_params(kind, *(rng.uniform(0.3, 2.5) for _ in layout.families))
         # these layouts put two numerator families against one denominator
         # family per direction, so shells decay only through |x| itself;
         # keep the draw small enough to settle within the default degree cap
@@ -338,24 +339,7 @@ def special_case_inputs(
         return ps, args, rng.uniform(-0.15, 0.15)
 
     n = rng.randrange(1, 7)
-    if kind == "fa3":
-        ps = lauricella_fa3(
-            -n, _pos_seventh(rng), _pos_seventh(rng), _pos_seventh(rng),
-            1 + _pos_seventh(rng), 1 + _pos_seventh(rng), 1 + _pos_seventh(rng),
-        )
-    elif kind == "fd3":
-        ps = lauricella_fd3(
-            -n, _pos_seventh(rng), _pos_seventh(rng), _pos_seventh(rng),
-            1 + _pos_seventh(rng),
-        )
-    elif kind == "ha":
-        m = rng.randrange(1, 7)
-        ps = srivastava_ha(
-            -n, -m, _pos_seventh(rng),
-            1 + _pos_seventh(rng), 1 + _pos_seventh(rng),
-        )
-    else:
-        raise ValueError(f"unknown special case {kind!r}")
+    ps = special_params(kind, *(_SPECIAL_DRAWS[draw](rng, n) for draw in layout.draws))
     return ps, _rational_args(rng), _signed_seventh(rng)
 
 
@@ -436,31 +420,40 @@ def _special_row(config: SuiteConfig, kind: str, index: int) -> Dict[str, object
     return _report_row(kind, index, report, exact)
 
 
+# The three row groups in suite order: (section, row function, names).
+_ROW_GROUPS = (
+    ("lemmas", _lemma_row, LEMMA_NAMES),
+    ("identities", _identity_row, IDENTITY_IDS),
+    ("special_cases", _special_row, SPECIAL_KINDS),
+)
+
+
 def run_suite(config: SuiteConfig) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     """Run all row groups; returns (summary, rows).
 
     Row order is fixed regardless of worker count: tasks are enumerated up
-    front and results collected by position.
+    front as plain (section, row function, name, index) tuples and results
+    collected by position.
     """
-    tasks: List[Tuple[str, Callable[[], Dict[str, object]]]] = []
-    for name in LEMMA_NAMES:
-        for i in range(config.instances):
-            tasks.append(("lemmas", lambda name=name, i=i: _lemma_row(config, name, i)))
-    for rid in IDENTITY_IDS:
-        for i in range(config.instances):
-            tasks.append(("identities", lambda rid=rid, i=i: _identity_row(config, rid, i)))
-    for kind in SPECIAL_KINDS:
-        for i in range(config.instances):
-            tasks.append(("special_cases", lambda kind=kind, i=i: _special_row(config, kind, i)))
+    tasks = [
+        (section, row_fn, name, i)
+        for section, row_fn, names in _ROW_GROUPS
+        for name in names
+        for i in range(config.instances)
+    ]
+
+    def run(task: Tuple[str, Callable[..., Dict[str, object]], str, int]) -> Dict[str, object]:
+        _, row_fn, name, i = task
+        return row_fn(config, name, i)
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda task: task[1](), tasks))
+            results = list(pool.map(run, tasks))
     else:
-        results = [run() for _, run in tasks]
+        results = [run(task) for task in tasks]
 
     sections: Dict[str, Dict[str, int]] = {}
-    for (section, _), row in zip(tasks, results):
+    for (section, *_), row in zip(tasks, results):
         stats = sections.setdefault(section, {"rows": 0, "passed": 0})
         stats["rows"] += 1
         stats["passed"] += bool(row["pass"])

@@ -33,9 +33,7 @@ from f3sum import (
     eval_f3,
     eval_pfq,
     get_rule,
-    lauricella_fa3,
-    lauricella_fd3,
-    srivastava_ha,
+    special_params,
 )
 from f3sum.suite import (
     LEMMA_NAMES,
@@ -253,11 +251,7 @@ def _classical_oracle(kind, values, x, degree=24):
     return total
 
 
-_BUILDERS = {
-    "fa3": (lauricella_fa3, 7),
-    "fd3": (lauricella_fd3, 5),
-    "ha": (srivastava_ha, 5),
-}
+_ARITY = {"fa3": 7, "fd3": 5, "ha": 5}
 
 
 def test_criterion_4_classical_special_cases(capsys):
@@ -267,12 +261,12 @@ def test_criterion_4_classical_special_cases(capsys):
     t0 = perf_counter()
     tight = TruncationPolicy(tol=1e-14, max_total_degree=32, stall_window=3)
     failures = []
-    for kind, (builder, arity) in _BUILDERS.items():
+    for kind, arity in _ARITY.items():
         rng = random.Random(f"acc4:{kind}")
         for i in range(20):
             values = tuple(rng.uniform(0.4, 2.2) for _ in range(arity))
             x = tuple(rng.uniform(-0.04, 0.04) for _ in range(3))
-            ps = builder(*values)
+            ps = special_params(kind, *values)
             res = eval_f3(ps, ArgumentTriple(*x), tight)
             oracle = _classical_oracle(kind, values, x)
             rel = abs(res.value - oracle) / max(abs(oracle), 1e-300)

@@ -161,6 +161,20 @@ class TestEvalF3:
         assert res.converged
         assert res.value == pytest.approx(1 / 0.8, rel=1e-12)
 
+    def test_pole_masked_by_upper_termination(self):
+        # the c cutoff at degree 2 keeps the walk off the zero of (-5)_k at
+        # k = 6: terms 1 + 2/15 + 1/180
+        ps = ParameterSet(h=(-5,), c=(-2,))
+        res = eval_f3(ps, ArgumentTriple(Fraction(1, 3), 0, 0))
+        assert res.terminated_exactly
+        assert res.value == Fraction(41, 36)
+
+    def test_pole_in_reach_of_upper_termination(self):
+        # (-1)_2 = 0 sits inside the c cutoff at degree 2
+        ps = ParameterSet(h=(-1,), c=(-2,))
+        with pytest.raises(DenominatorPoleError):
+            eval_f3(ps, ArgumentTriple(Fraction(1, 3), 0, 0))
+
     @pytest.mark.parametrize("family", DENOMINATOR_FAMILIES)
     def test_pole_raises(self, family):
         # 'a' follows every index, so its order covers each downstairs family

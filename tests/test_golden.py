@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 from f3sum import (
+    FLOAT64,
     IDENTITY_IDS,
     RATIONAL,
+    SPECIAL_KINDS,
     ArgumentTriple,
     ParameterSet,
     SuiteConfig,
@@ -19,6 +21,8 @@ from f3sum import (
     check_identity,
     eval_f3,
     run_suite,
+    special_case_inputs,
+    special_case_instance,
     write_rows_csv,
 )
 from f3sum.params import FAMILIES, NUMERATOR_FAMILIES, families_along
@@ -29,6 +33,7 @@ EXACT_VALUES_SHA256 = "4100da0ab6daa0d5b30d9ef4e810fbfed0bcb39198f65b0126d270741
 EVAL_F3_SHA256 = "71a6e28b169b529bc46a284b3bd940a9cdb72ababc76eda6f8455ab03666aee1"
 X1_SERIES_SHA256 = "e8559cf20eb64e29cae60a6420307b0af74dbbc52a56d3b5d2d6dd3f2ed6a018"
 SUITE_RATIONAL_CSV_SHA256 = "55b147ef251e629a11caba7f35e4f1b2476364d276f593ee5c7dc6f6ff30b773"
+SPECIAL_CASES_SHA256 = "3560e9838022552161353bc18f164316df3626d26fd1fbf8ae59043d72d4110d"
 
 # Rules whose outer variable is x1: their weights multiply the x1-coupled
 # families in families_along(0) order.
@@ -48,6 +53,20 @@ def test_rational_suite_csv_digest(tmp_path):
     path = tmp_path / "suite.csv"
     write_rows_csv(rows, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_RATIONAL_CSV_SHA256
+
+
+def test_special_case_instances_digest():
+    # The rational suite CSV has every residual at 0, so it cannot see the
+    # instance values; this pins the generated special-case inputs themselves.
+    parts = [
+        repr(special_case_instance(kind, *special_case_inputs(kind, seed, i, backend)))
+        for backend in (FLOAT64, RATIONAL)
+        for seed in range(4)
+        for kind in SPECIAL_KINDS
+        for i in range(5)
+    ]
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == SPECIAL_CASES_SHA256
 
 
 def test_exact_rule_values_digest():

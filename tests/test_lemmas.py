@@ -11,9 +11,11 @@ import pytest
 from f3sum import (
     DenominatorPoleError,
     InvalidInputError,
+    InvalidInstanceError,
     PoleAtOneError,
     binomial_1f0,
     eval_pfq,
+    lemma_case,
     nearly_poised_3f2,
     saalschutz_3f2,
     twob_balanced_3f2,
@@ -119,3 +121,9 @@ class TestWatson:
             [a / 2, 1 + a - b, 1 + 2 * b - n],
         )
         assert got == want
+
+
+def test_unknown_lemma_case_is_typed():
+    # raised before the retry loop, which would swallow it and end in RuntimeError
+    with pytest.raises(InvalidInstanceError, match="unknown lemma 'nope'"):
+        lemma_case("nope", 0, 0)

@@ -29,7 +29,6 @@ from f3sum import (
     set_entry,
     shift_entry,
     shift_family,
-    validate,
 )
 from f3sum.params import (
     families_along,
@@ -236,19 +235,3 @@ class TestSupport:
         nb = numerator_bounds(ps)
         assert nb["c"] == 2
         assert nb["a"] is None
-
-
-class TestValidate:
-    def test_clean_set(self):
-        assert validate(ParameterSet(a=(0.5,), h=(1.5,))) == []
-
-    def test_unprotected_denominator_pole(self):
-        assert validate(ParameterSet(h=(-2,))) == [("h", 1)]
-
-    def test_pole_masked_by_termination(self):
-        # numerator cutoff at degree 2 keeps the lattice away from the zero
-        # of (-5)_k at k = 6
-        assert validate(ParameterSet(h=(-5,), c=(-2,))) == []
-
-    def test_pole_in_reach_of_termination(self):
-        assert validate(ParameterSet(h=(-1,), c=(-2,))) == [("h", 1)]

@@ -10,17 +10,20 @@ from fractions import Fraction
 import pytest
 
 from f3sum import (
+    FLOAT64,
+    LAYOUTS,
+    RATIONAL,
     ArgumentTriple,
     FamilyIndex,
+    InvalidInputError,
     InvalidInstanceError,
     ParameterSet,
     TruncationPolicy,
     check_special_case,
     eval_f3,
-    lauricella_fa3,
-    lauricella_fd3,
+    special_case_inputs,
     special_case_instance,
-    srivastava_ha,
+    special_params,
 )
 from f3sum.special import SPECIAL_KINDS
 
@@ -94,27 +97,27 @@ ARGS = ArgumentTriple(0.04, -0.03, 0.05)
 
 class TestEmbeddings:
     def test_fa3_matches_classical_series(self):
-        ps = lauricella_fa3(0.9, 0.6, 1.2, 0.8, 1.7, 1.3, 2.1)
+        ps = special_params("fa3", 0.9, 0.6, 1.2, 0.8, 1.7, 1.3, 2.1)
         res = eval_f3(ps, ARGS, TIGHT)
         assert res.converged
         oracle = fa3_oracle(0.9, 0.6, 1.2, 0.8, 1.7, 1.3, 2.1, tuple(ARGS))
         assert res.value == pytest.approx(oracle, rel=1e-12)
 
     def test_fd3_matches_classical_series(self):
-        ps = lauricella_fd3(1.1, 0.5, 0.7, 0.9, 2.3)
+        ps = special_params("fd3", 1.1, 0.5, 0.7, 0.9, 2.3)
         res = eval_f3(ps, ARGS, TIGHT)
         oracle = fd3_oracle(1.1, 0.5, 0.7, 0.9, 2.3, tuple(ARGS))
         assert res.value == pytest.approx(oracle, rel=1e-12)
 
     def test_ha_matches_classical_series(self):
-        ps = srivastava_ha(0.8, 1.4, 0.6, 1.9, 1.2)
+        ps = special_params("ha", 0.8, 1.4, 0.6, 1.9, 1.2)
         res = eval_f3(ps, ARGS, TIGHT)
         oracle = ha_oracle(0.8, 1.4, 0.6, 1.9, 1.2, tuple(ARGS))
         assert res.value == pytest.approx(oracle, rel=1e-12)
 
     def test_fd3_one_variable_collapse(self):
         # with x2 = x3 = 0 the series is Gauss 2F1(a, b1; c; x1)
-        ps = lauricella_fd3(1.3, 0.7, 0.5, 0.9, 2.1)
+        ps = special_params("fd3", 1.3, 0.7, 0.5, 0.9, 2.1)
         res = eval_f3(ps, ArgumentTriple(0.2, 0.0, 0.0), TIGHT)
         from f3sum import eval_pfq
 
@@ -122,15 +125,28 @@ class TestEmbeddings:
         assert res.value == pytest.approx(gauss.value, rel=1e-13)
 
     def test_layouts(self):
-        assert lauricella_fa3(1, 2, 3, 4, 5, 6, 7) == ParameterSet(
+        assert special_params("fa3", 1, 2, 3, 4, 5, 6, 7) == ParameterSet(
             a=(1,), c=(2,), cp=(3,), cpp=(4,), h=(5,), hp=(6,), hpp=(7,)
         )
-        assert lauricella_fd3(1, 2, 3, 4, 5) == ParameterSet(
+        assert special_params("fd3", 1, 2, 3, 4, 5) == ParameterSet(
             a=(1,), c=(2,), cp=(3,), cpp=(4,), e=(5,)
         )
-        assert srivastava_ha(1, 2, 3, 4, 5) == ParameterSet(
+        assert special_params("ha", 1, 2, 3, 4, 5) == ParameterSet(
             bpp=(1,), b=(2,), bp=(3,), h=(4,), gp=(5,)
         )
+
+    @pytest.mark.parametrize("kind", SPECIAL_KINDS)
+    def test_wrong_parameter_count(self, kind):
+        arity = len(LAYOUTS[kind].families)
+        for count in (arity - 1, arity + 1):
+            with pytest.raises(InvalidInputError, match=f"takes {arity} parameters"):
+                special_params(kind, *range(1, count + 1))
+
+    @pytest.mark.parametrize("kind", SPECIAL_KINDS)
+    def test_rows_draw_one_value_per_parameter(self, kind):
+        layout = LAYOUTS[kind]
+        assert len(layout.draws) == len(layout.families)
+        assert set(layout.draws) <= {"-n", "-m", "up", "down"}
 
 
 class TestSpecialCaseChecks:
@@ -141,34 +157,40 @@ class TestSpecialCaseChecks:
         with pytest.raises(InvalidInstanceError):
             special_case_instance("zz", ParameterSet(), ARGS, 0.1)
 
+    @pytest.mark.parametrize("backend", (FLOAT64, RATIONAL))
+    def test_unknown_kind_inputs(self, backend):
+        with pytest.raises(InvalidInstanceError, match="unknown special case 'zz'"):
+            special_case_inputs("zz", 0, 0, backend)
+
     def test_fa3_instance_shape(self):
-        ps = lauricella_fa3(0.9, 0.6, 1.2, 0.8, 1.7, 1.3, 2.1)
+        ps = special_params("fa3", 0.9, 0.6, 1.2, 0.8, 1.7, 1.3, 2.1)
         inst = special_case_instance("fa3", ps, ARGS, 0.12)
         assert inst.identity_id == "T1a"
         assert inst.idx == FamilyIndex("a", 1)
         assert inst.scalar("t") == 0.12
 
     def test_ha_instance_shape(self):
-        ps = srivastava_ha(0.8, 1.4, 0.6, 1.9, 1.2)
+        ps = special_params("ha", 0.8, 1.4, 0.6, 1.9, 1.2)
         inst = special_case_instance("ha", ps, ARGS, 0.12)
         assert inst.identity_id == "T2x1"
         assert inst.idx is None
 
     @pytest.mark.parametrize("kind", SPECIAL_KINDS)
     def test_float_check_passes(self, kind):
-        builders = {
-            "fa3": lambda: lauricella_fa3(0.9, 0.6, 1.2, 0.8, 1.7, 1.3, 2.1),
-            "fd3": lambda: lauricella_fd3(1.1, 0.5, 0.7, 0.9, 2.3),
-            "ha": lambda: srivastava_ha(0.8, 1.4, 0.6, 1.9, 1.2),
+        values = {
+            "fa3": (0.9, 0.6, 1.2, 0.8, 1.7, 1.3, 2.1),
+            "fd3": (1.1, 0.5, 0.7, 0.9, 2.3),
+            "ha": (0.8, 1.4, 0.6, 1.9, 1.2),
         }
-        rep = check_special_case(kind, builders[kind](), ARGS, 0.1, policy=TIGHT)
+        ps = special_params(kind, *values[kind])
+        rep = check_special_case(kind, ps, ARGS, 0.1, policy=TIGHT)
         assert rep.passed, rep
         assert rep.residual <= 1e-10
 
     def test_rational_check_is_exact(self):
         # a = -3 terminates every direction at total degree 3
-        ps = lauricella_fd3(
-            -3, Fraction(2, 7), Fraction(3, 7), Fraction(5, 7), Fraction(16, 7)
+        ps = special_params(
+            "fd3", -3, Fraction(2, 7), Fraction(3, 7), Fraction(5, 7), Fraction(16, 7)
         )
         args = ArgumentTriple(Fraction(1, 4), Fraction(-1, 5), Fraction(1, 6))
         rep = check_special_case("fd3", ps, args, Fraction(2, 7))
