@@ -365,3 +365,41 @@ def test_rational_finite_support_equals_naive_triple_loop(case):
     assert res.terminated_exactly
     assert isinstance(res.value, (int, Fraction))
     assert res.value == naive_exact_f3(ps, args, top)
+
+
+@st.composite
+def terminating_pfq_cases(draw):
+    """Rational pFq input cut off by an upstairs ``-top``, with mixed
+    int/Fraction entries and, on some draws, a downstairs pole just past
+    the last term."""
+    top = draw(st.integers(0, 6))
+    upper = draw(st.permutations(draw(st.lists(_UPSTAIRS, max_size=3)) + [-top]))
+    lower = draw(st.lists(_DOWNSTAIRS, max_size=3))
+    if draw(st.booleans()):
+        # -m vanishes at Pochhammer order m + 1 > top
+        lower = draw(st.permutations(lower + [-draw(st.integers(top, top + 3))]))
+    return upper, lower, draw(_ARGUMENT), top
+
+
+def naive_pfq(upper, lower, x, top):
+    """Terms 0..top of the series, each priced from scratch."""
+    total = 0
+    for k in range(top + 1):
+        num = Fraction(x) ** k
+        for v in upper:
+            num *= pochhammer(v, k)
+        den = math.factorial(k)
+        for v in lower:
+            den *= pochhammer(v, k)
+        total += num / den
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(terminating_pfq_cases())
+def test_rational_pfq_equals_naive_term_loop(case):
+    upper, lower, x, top = case
+    res = eval_pfq(upper, lower, x)
+    assert res.terminated_exactly
+    assert isinstance(res.value, (int, Fraction))
+    assert res.value == naive_pfq(upper, lower, x, top)

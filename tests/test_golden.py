@@ -12,6 +12,7 @@ from fractions import Fraction
 from f3sum import (
     FLOAT64,
     IDENTITY_IDS,
+    LEMMA_NAMES,
     RATIONAL,
     SPECIAL_KINDS,
     ArgumentTriple,
@@ -20,6 +21,8 @@ from f3sum import (
     TruncationPolicy,
     check_identity,
     eval_f3,
+    eval_pfq,
+    lemma_case,
     run_suite,
     special_case_inputs,
     special_case_instance,
@@ -34,6 +37,7 @@ EVAL_F3_SHA256 = "71a6e28b169b529bc46a284b3bd940a9cdb72ababc76eda6f8455ab03666ae
 X1_SERIES_SHA256 = "e8559cf20eb64e29cae60a6420307b0af74dbbc52a56d3b5d2d6dd3f2ed6a018"
 SUITE_RATIONAL_CSV_SHA256 = "55b147ef251e629a11caba7f35e4f1b2476364d276f593ee5c7dc6f6ff30b773"
 SPECIAL_CASES_SHA256 = "3560e9838022552161353bc18f164316df3626d26fd1fbf8ae59043d72d4110d"
+LEMMA_SERIES_SHA256 = "8d1de701be4c17297a09d2c2499f7945c13f4ff0e784beae177cd49943acfc37"
 
 # Rules whose outer variable is x1: their weights multiply the x1-coupled
 # families in families_along(0) order.
@@ -67,6 +71,21 @@ def test_special_case_instances_digest():
     ]
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert digest == SPECIAL_CASES_SHA256
+
+
+def test_lemma_series_digest():
+    # Lemma rows compare the series with its closed form, so the rational
+    # suite CSV shows only pass/fail; this pins each generated case and the
+    # full series result, diagnostics included.
+    parts = [
+        repr(case) + " " + repr(eval_pfq(case.upper, case.lower, case.argument))
+        for seed in range(4)
+        for name in LEMMA_NAMES
+        for i in range(5)
+        for case in (lemma_case(name, seed, i),)
+    ]
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == LEMMA_SERIES_SHA256
 
 
 def test_exact_rule_values_digest():
