@@ -1,4 +1,4 @@
-"""Series engines: the triple hypergeometric sum and its 1-D cousin.
+"""Series engine: the triple hypergeometric sum and its 1-D special case.
 
 ``eval_f3`` sums the three-index series
 
@@ -41,8 +41,9 @@ cannot end the sum early: it runs to the walk's first empty shell, and the
 value is backend-exact (``terminated_exactly``).  A support that reaches
 past the degree cap falls back to the stall rule.
 
-``eval_pfq`` is the ordinary generalized hypergeometric series under the same
-policy, used as an independent reference for the closed-form summation lemmas.
+``eval_pfq`` is the ordinary generalized hypergeometric series.  It is the
+triple series with every parameter in the two m1-only families (``c``, ``h``)
+and x2 = x3 = 0, so it is one ``eval_f3`` call and shares its walk.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .params import (
     families_along,
     numerator_bounds,
     parse_number,
-    termination_bound,
 )
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -352,38 +352,12 @@ def eval_pfq(
 ) -> EvaluationResult:
     """Sum the generalized hypergeometric series pFq(upper; lower; x).
 
-    Same backend rules and truncation policy as :func:`eval_f3`.  A
+    This is the triple series on the m1 axis: ``upper`` and ``lower`` fill
+    the two families whose order is m1 alone (``c`` and ``h``), and x2 = x3
+    = 0, so :func:`eval_f3` sums it with the same walk, cuts and policy.  A
     nonpositive-integer upstairs entry terminates the series and yields an
     exact result; a downstairs entry reaching zero first raises
     DenominatorPoleError.
     """
-    upper = tuple(upper)
-    lower = tuple(lower)
-    classify_backend(list(upper) + list(lower) + [x])
-
-    bound = termination_bound(upper)
-    if x == 0:
-        bound = 0 if bound is None else min(bound, 0)
-
-    def terms() -> Iterator[Number]:
-        prev: Number = 1
-        yield prev
-        for k in itertools.count(1):
-            # After a zero term every later one is zero: stop stepping.
-            if prev != 0:
-                num: Number = prev * x
-                for v in upper:
-                    num = num * (v + k - 1)
-                den: Number = k
-                for j, v in enumerate(lower, start=1):
-                    factor = v + k - 1
-                    if factor == 0:
-                        raise DenominatorPoleError(
-                            f"lower parameter #{j} = {v!r} vanishes at term k={k}"
-                        )
-                    den = den * factor
-                prev = exact_div(num, den)
-            yield prev
-
-    it = terms()
-    return adaptive_sum(lambda k: next(it), policy, exact_bound=bound, strict=strict)
+    ps = ParameterSet(c=tuple(upper), h=tuple(lower))
+    return eval_f3(ps, ArgumentTriple(x, 0, 0), policy, strict=strict)

@@ -14,8 +14,9 @@ relative residual together with convergence diagnostics.
 
 The closed-form lemmas at the bottom (binomial, Vandermonde, Saalschutz, and
 three terminating series with quadratic parameter patterns) return exact
-values for terminating input and are validated elsewhere against
-:func:`f3sum.f3core.eval_pfq`.
+values for terminating input.  The suite and the tests check each against
+its series summed by :func:`f3sum.f3core.eval_pfq`, the triple series engine
+on the m1 axis; the lemmas share no algebra with it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DenominatorPoleError,
@@ -63,8 +64,6 @@ from .params import (
     termination_bound,
 )
 from .f3core import ArgumentTriple, arguments_from_json, eval_f3
-
-ScalarMap = Union[Mapping[str, Number], Sequence[Tuple[str, Number]]]
 
 
 @dataclass(frozen=True)

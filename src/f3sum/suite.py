@@ -3,7 +3,9 @@
 Three row groups, always in this order:
 
 1. the six closed-form summation lemmas, each checked exactly (rational
-   arithmetic) against :func:`f3sum.f3core.eval_pfq`,
+   arithmetic) against its series summed by :func:`f3sum.f3core.eval_pfq`,
+   the triple series engine on the m1 axis; every lemma is one row of
+   ``_LEMMAS``,
 2. the seventeen resummation rules, each on freshly generated instances,
 3. the three classical special cases, each run through the rule that covers
    it wholesale.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import F3Error, InvalidInstanceError
+from .errors import F3Error, InvalidInputError, InvalidInstanceError
 from .f3core import ArgumentTriple, eval_pfq
 from .identities import (
     IDENTITY_IDS,
@@ -47,15 +49,6 @@ from .identities import (
 from .numerics import FLOAT64, RATIONAL, Number, TruncationPolicy
 from .params import FAMILIES, FamilyIndex, ParameterSet, families_along
 from .special import SPECIAL_KINDS, check_special_case, get_layout, special_params
-
-LEMMA_NAMES: Tuple[str, ...] = (
-    "binomial_1f0",
-    "vandermonde_2f1",
-    "saalschutz_3f2",
-    "nearly_poised_3f2",
-    "twob_balanced_3f2",
-    "watson_4f3",
-)
 
 CSV_COLUMNS: Tuple[str, ...] = (
     "identity_id",
@@ -92,53 +85,48 @@ def _seventh(rng: random.Random, lo: int = -20, hi: int = 20) -> Fraction:
             return Fraction(p, 7)
 
 
+# name -> (sevenths drawn, series pattern, closed form).  The pattern maps
+# (n, *sevenths) to the series (upper, lower, x) and the closed form maps the
+# same arguments to its value.
+_LEMMAS: Dict[str, Tuple[int, Callable[..., tuple], Callable[..., Number]]] = {
+    "binomial_1f0": (1, lambda n, t: ((-n,), (), t), lambda n, t: binomial_1f0(-n, t)),
+    "vandermonde_2f1": (2, lambda n, a, c: ((-n, a), (c,), 1), vandermonde_2f1),
+    "saalschutz_3f2": (
+        3, lambda n, a, b, c: ((-n, a, b), (c, 1 + a + b - c - n), 1), saalschutz_3f2,
+    ),
+    "nearly_poised_3f2": (
+        2, lambda n, a, b: ((-n, a, 1 + a / 2), (a / 2, b), 1), nearly_poised_3f2,
+    ),
+    "twob_balanced_3f2": (
+        2, lambda n, a, b: ((-n, a, b), (1 + a - b, 1 + 2 * b - n), 1), twob_balanced_3f2,
+    ),
+    "watson_4f3": (
+        2,
+        lambda n, a, b: ((-n, a, 1 + a / 2, b), (a / 2, 1 + a - b, 1 + 2 * b - n), 1),
+        watson_4f3,
+    ),
+}
+LEMMA_NAMES: Tuple[str, ...] = tuple(_LEMMAS)
+
+
 def lemma_case(name: str, seed: int, index: int, max_order: int = 15) -> LemmaCase:
     """Deterministically generate one valid case for the named lemma.
 
     Rejection-samples until both the closed form and the series are free of
     poles; the RNG stream is a pure function of (seed, name, index).
     """
-    if name not in LEMMA_NAMES:
+    if name not in _LEMMAS:
         raise InvalidInstanceError(f"unknown lemma {name!r}; expected one of {LEMMA_NAMES}")
+    sevenths, pattern, closed_form = _LEMMAS[name]
     rng = random.Random(f"{seed}:{name}:{index}")
     for _ in range(500):
         n = rng.randrange(0, max_order + 1)
+        drawn = [_seventh(rng) for _ in range(sevenths)]
         try:
-            if name == "binomial_1f0":
-                t = _seventh(rng)
-                case = LemmaCase(name, n, (-n,), (), t, binomial_1f0(-n, t))
-            elif name == "vandermonde_2f1":
-                a, c = _seventh(rng), _seventh(rng)
-                case = LemmaCase(name, n, (-n, a), (c,), 1, vandermonde_2f1(n, a, c))
-            elif name == "saalschutz_3f2":
-                a, b, c = _seventh(rng), _seventh(rng), _seventh(rng)
-                case = LemmaCase(
-                    name, n, (-n, a, b), (c, 1 + a + b - c - n), 1,
-                    saalschutz_3f2(n, a, b, c),
-                )
-            elif name == "nearly_poised_3f2":
-                a, b = _seventh(rng), _seventh(rng)
-                half_a = Fraction(a, 2)
-                case = LemmaCase(
-                    name, n, (-n, a, 1 + half_a), (half_a, b), 1,
-                    nearly_poised_3f2(n, a, b),
-                )
-            elif name == "twob_balanced_3f2":
-                a, b = _seventh(rng), _seventh(rng)
-                case = LemmaCase(
-                    name, n, (-n, a, b), (1 + a - b, 1 + 2 * b - n), 1,
-                    twob_balanced_3f2(n, a, b),
-                )
-            elif name == "watson_4f3":
-                a, b = _seventh(rng), _seventh(rng)
-                half_a = Fraction(a, 2)
-                case = LemmaCase(
-                    name, n, (-n, a, 1 + half_a, b),
-                    (half_a, 1 + a - b, 1 + 2 * b - n), 1,
-                    watson_4f3(n, a, b),
-                )
+            upper, lower, x = pattern(n, *drawn)
+            case = LemmaCase(name, n, upper, lower, x, closed_form(n, *drawn))
             # The series must be summable in full as well.
-            eval_pfq(case.upper, case.lower, case.argument)
+            eval_pfq(upper, lower, x)
             return case
         except (F3Error, ZeroDivisionError):
             continue
@@ -312,6 +300,16 @@ def exact_instance(identity_id: str, seed: int, index: int) -> IdentityInstance:
 # Special-case tuples.
 
 
+def _is_exact(backend: str) -> bool:
+    """True for the rational backend, False for float64; any other name
+    raises InvalidInputError."""
+    if backend not in (FLOAT64, RATIONAL):
+        raise InvalidInputError(
+            f"unknown backend {backend!r}; expected {FLOAT64!r} or {RATIONAL!r}"
+        )
+    return backend == RATIONAL
+
+
 # The rational draw of each parameter code in a special-case layout, given
 # the instance order n.
 _SPECIAL_DRAWS: Dict[str, Callable[[random.Random, int], Number]] = {
@@ -330,17 +328,17 @@ def special_case_inputs(
     with terminating upper parameters so the check is exact."""
     layout = get_layout(kind)
     rng = random.Random(f"{seed}:{kind}:{index}")
-    if backend == FLOAT64:
-        ps = special_params(kind, *(rng.uniform(0.3, 2.5) for _ in layout.families))
-        # these layouts put two numerator families against one denominator
-        # family per direction, so shells decay only through |x| itself;
-        # keep the draw small enough to settle within the default degree cap
-        args = ArgumentTriple(*(rng.uniform(-0.03, 0.03) for _ in range(3)))
-        return ps, args, rng.uniform(-0.15, 0.15)
+    if _is_exact(backend):
+        n = rng.randrange(1, 7)
+        ps = special_params(kind, *(_SPECIAL_DRAWS[draw](rng, n) for draw in layout.draws))
+        return ps, _rational_args(rng), _signed_seventh(rng)
 
-    n = rng.randrange(1, 7)
-    ps = special_params(kind, *(_SPECIAL_DRAWS[draw](rng, n) for draw in layout.draws))
-    return ps, _rational_args(rng), _signed_seventh(rng)
+    ps = special_params(kind, *(rng.uniform(0.3, 2.5) for _ in layout.families))
+    # these layouts put two numerator families against one denominator
+    # family per direction, so shells decay only through |x| itself;
+    # keep the draw small enough to settle within the default degree cap
+    args = ArgumentTriple(*(rng.uniform(-0.03, 0.03) for _ in range(3)))
+    return ps, args, rng.uniform(-0.15, 0.15)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +392,7 @@ def _report_row(rid: str, index: int, report, exact: bool) -> Dict[str, object]:
 
 
 def _identity_row(config: SuiteConfig, rid: str, index: int) -> Dict[str, object]:
-    exact = config.backend == RATIONAL
+    exact = _is_exact(config.backend)
     if exact:
         inst = exact_instance(rid, config.seed, index)
     else:
@@ -409,7 +407,7 @@ def _identity_row(config: SuiteConfig, rid: str, index: int) -> Dict[str, object
 
 
 def _special_row(config: SuiteConfig, kind: str, index: int) -> Dict[str, object]:
-    exact = config.backend == RATIONAL
+    exact = _is_exact(config.backend)
     ps, args, t = special_case_inputs(kind, config.seed, index, config.backend)
     report = check_special_case(
         kind, ps, args, t,

@@ -1,4 +1,4 @@
-"""Tests for the shell-ordered triple series engine and the 1-D pFq evaluator."""
+"""Tests for the shell-ordered triple series engine and its 1-D pFq case."""
 
 import math
 from fractions import Fraction
@@ -241,9 +241,10 @@ class TestEvalF3:
         res = eval_f3(ps, ArgumentTriple(0.6, 0.0, 0.0), policy)
         assert res.converged
         assert res.shells_used > 4
-        reference = eval_pfq([2.5, 2.5], [0.35], 0.6, policy)
-        assert reference.converged
-        assert res.value == pytest.approx(reference.value, rel=1e-12)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            reference = mpmath.hyp2f1(2.5, 2.5, 0.35, 0.6)
+        assert res.value == pytest.approx(float(reference), rel=1e-12)
 
     def test_divergent_reports_not_converged(self):
         res = eval_f3(ParameterSet(a=(1.0,)), ArgumentTriple(3.0, 3.0, 3.0))
@@ -299,7 +300,8 @@ class TestEvalPfq:
         assert res.value == pytest.approx(-math.log(0.8) / 0.2, rel=1e-12)
 
     def test_lower_pole(self):
-        with pytest.raises(DenominatorPoleError):
+        match = r"downstairs entry h\[1\] = -2\.0 vanishes at Pochhammer order 3"
+        with pytest.raises(DenominatorPoleError, match=match):
             eval_pfq([1.0], [-2.0], 0.5)
 
     def test_pole_masked_by_upper_termination(self):
