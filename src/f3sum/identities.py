@@ -22,7 +22,7 @@ on the m1 axis; the lemmas share no algebra with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,19 +48,15 @@ from .numerics import (
     pochhammer_product,
 )
 from .params import (
+    FAMILY_COMBO,
     FamilyIndex,
     ParameterSet,
     X1_GROUP,
-    drop_entry,
     entry_value,
     families_along,
     format_number,
     parameter_set_from_json,
     parse_number,
-    push_entry,
-    set_entry,
-    shift_entry,
-    shift_family,
     termination_bound,
 )
 from .f3core import ArgumentTriple, arguments_from_json, eval_f3
@@ -252,17 +248,43 @@ class CheckReport:
 # Shared pieces for the rule table.
 
 
-def _shift_group(ps: ParameterSet, names: Sequence[str], k: int) -> ParameterSet:
-    for name in names:
-        ps = shift_family(ps, name, k)
-    return ps
+def _splice(
+    inst: IdentityInstance, values: Tuple[Number, ...], entry: Tuple[Number, ...]
+) -> Tuple[Number, ...]:
+    """``values`` with the indexed position replaced by the entries of
+    ``entry``; raises InvalidIndexError when the index is out of range."""
+    inst.idx.check_against(inst.ps)
+    j = inst.idx.i - 1
+    return values[:j] + entry + values[j + 1:]
 
 
-def _shift_group_keep_indexed(
-    inst: IdentityInstance, names: Sequence[str], k: int
+def _shifted(
+    inst: IdentityInstance, names: Sequence[str], k: int, keep_indexed: bool = False
 ) -> ParameterSet:
-    ps = _shift_group(inst.ps, names, k)
-    return set_entry(ps, inst.idx, inst.indexed_value)
+    """``inst.ps`` with every entry of the named families raised by k; with
+    ``keep_indexed`` the indexed entry keeps its old value."""
+    fields = {name: tuple(v + k for v in inst.ps.family(name)) for name in names}
+    if keep_indexed:
+        name = inst.idx.family
+        fields[name] = _splice(inst, fields[name], (inst.indexed_value,))
+    return replace(inst.ps, **fields)
+
+
+def _rewritten(
+    inst: IdentityInstance,
+    entry: Optional[Tuple[Number, ...]] = None,
+    **appended: Tuple[Number, ...],
+) -> ParameterSet:
+    """``inst.ps`` with the indexed entry replaced by the entries of
+    ``entry`` (``()`` drops it, None keeps it), then each family named in
+    ``appended`` extended by its entries, in the order given."""
+    fields: Dict[str, Tuple[Number, ...]] = {}
+    if entry is not None:
+        name = inst.idx.family
+        fields[name] = _splice(inst, inst.ps.family(name), entry)
+    for name, values in appended.items():
+        fields[name] = fields.get(name, inst.ps.family(name)) + values
+    return replace(inst.ps, **fields)
 
 
 def _args_unchanged(inst: IdentityInstance) -> ArgumentTriple:
@@ -314,11 +336,13 @@ def _geometric_guard(inst: IdentityInstance) -> Optional[str]:
 # Rule constructors.
 
 
-def _entry_shift_rule(rid: str, family: str, scaled_dirs: Tuple[int, ...]) -> IdentityRule:
+def _entry_shift_rule(rid: str, family: str) -> IdentityRule:
     """Single-entry shift resummation: the outer sum moves one entry of
     ``family`` up by k against a geometric weight in t; the right side keeps
-    the parameters and rescales the arguments in ``scaled_dirs`` by 1/(1-t),
-    times the matching binomial prefactor."""
+    the parameters and rescales by 1/(1-t) the arguments of the directions
+    the family's Pochhammer order follows, times the matching binomial
+    prefactor."""
+    scaled_dirs = tuple(d for d, w in enumerate(FAMILY_COMBO[family]) if w)
 
     def rhs_args(inst: IdentityInstance) -> ArgumentTriple:
         t = inst.scalar("t")
@@ -342,7 +366,7 @@ def _entry_shift_rule(rid: str, family: str, scaled_dirs: Tuple[int, ...]) -> Id
             extra_upper=lambda inst: (inst.indexed_value,),
             power_base=lambda inst: inst.scalar("t"),
         ),
-        lhs_params=lambda inst, k: shift_entry(inst.ps, inst.idx, k),
+        lhs_params=lambda inst, k: _rewritten(inst, (inst.indexed_value + k,)),
         lhs_args=_args_unchanged,
         rhs_prefactor=lambda inst: number_pow(1 - inst.scalar("t"), -inst.indexed_value),
         rhs_params=_params_unchanged,
@@ -374,7 +398,7 @@ def _argument_shift_rule(rid: str, direction: int) -> IdentityRule:
             lower_families=lower,
             power_base=lambda inst: inst.scalar("t"),
         ),
-        lhs_params=lambda inst, k: _shift_group(inst.ps, upper + lower, k),
+        lhs_params=lambda inst, k: _shifted(inst, upper + lower, k),
         lhs_args=_args_unchanged,
         rhs_prefactor=_one,
         rhs_params=_params_unchanged,
@@ -386,11 +410,10 @@ def _x1_series_rule(
     rid: str,
     family: str,
     summary: str,
-    extra_upper: Callable[[IdentityInstance], Tuple[Number, ...]],
     rhs_params: Callable[[IdentityInstance], ParameterSet],
+    extra_upper: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
     extra_lower: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
-    negate_x1: bool = False,
-    full_shift: bool = False,
+    alternating: bool = False,
     double_step: bool = False,
     scalar_names: Tuple[str, ...] = (),
     extra_validation: Optional[Callable[[IdentityInstance], None]] = None,
@@ -398,18 +421,16 @@ def _x1_series_rule(
     """Common frame for the rules whose outer variable is x1 itself: weight
     carries the x1-coupled upstairs families (minus the indexed entry),
     optional scalar factors, and (+-x1)**k over the x1-coupled downstairs
-    families; the left side shifts the x1-coupled group, either wholesale or
-    holding the indexed entry fixed."""
+    families; the left side shifts the x1-coupled group.
+
+    The sign and the shift go together: an ``alternating`` rule weights by
+    (-x1)**k and shifts the whole group, indexed entry included; the others
+    weight by x1**k and hold the indexed entry fixed."""
 
     upper, lower = families_along(0)
 
     def power_base(inst: IdentityInstance) -> Number:
-        return -inst.args.x1 if negate_x1 else inst.args.x1
-
-    if full_shift:
-        lhs_params = lambda inst, k: _shift_group(inst.ps, X1_GROUP, k)
-    else:
-        lhs_params = lambda inst, k: _shift_group_keep_indexed(inst, X1_GROUP, k)
+        return -inst.args.x1 if alternating else inst.args.x1
 
     return IdentityRule(
         identity_id=rid,
@@ -424,7 +445,7 @@ def _x1_series_rule(
             power_base=power_base,
             double_step=double_step,
         ),
-        lhs_params=lhs_params,
+        lhs_params=lambda inst, k: _shifted(inst, X1_GROUP, k, keep_indexed=not alternating),
         lhs_args=_args_unchanged,
         rhs_prefactor=_one,
         rhs_params=rhs_params,
@@ -437,72 +458,50 @@ def _x1_series_rule(
 
 
 def _t3a_rhs(inst: IdentityInstance) -> ParameterSet:
-    v = inst.indexed_value
-    r = inst.scalar("r")
-    ps = set_entry(inst.ps, inst.idx, v + r)
-    ps = push_entry(ps, "bp", v)
-    return push_entry(ps, "gp", v + r)
+    v, r = inst.indexed_value, inst.scalar("r")
+    return _rewritten(inst, (v + r,), bp=(v,), gp=(v + r,))
 
 
 def _t3c_rhs(inst: IdentityInstance) -> ParameterSet:
-    return shift_entry(inst.ps, inst.idx, inst.scalar("r"))
+    return _rewritten(inst, (inst.indexed_value + inst.scalar("r"),))
 
 
 def _t4a_rhs(inst: IdentityInstance) -> ParameterSet:
     v = inst.indexed_value
-    ps = push_entry(inst.ps, "c", v - inst.scalar("d"))
-    return push_entry(ps, "h", v)
+    return _rewritten(inst, c=(v - inst.scalar("d"),), h=(v,))
 
 
 def _t4c_rhs(inst: IdentityInstance) -> ParameterSet:
-    return shift_entry(inst.ps, inst.idx, -inst.scalar("d"))
+    return _rewritten(inst, (inst.indexed_value + (-inst.scalar("d")),))
 
 
 def _t5c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v = inst.indexed_value
-    r, d = inst.scalar("r"), inst.scalar("d")
-    ps = drop_entry(inst.ps, inst.idx)
-    ps = push_entry(ps, "c", v + r)
-    ps = push_entry(ps, "c", v + d)
-    return push_entry(ps, "h", v + r + d)
+    v, r, d = inst.indexed_value, inst.scalar("r"), inst.scalar("d")
+    return _rewritten(inst, (), c=(v + r, v + d), h=(v + r + d,))
 
 
 def _t6a_rhs(inst: IdentityInstance) -> ParameterSet:
-    v = inst.indexed_value
-    d = inst.scalar("d")
-    ps = push_entry(inst.ps, "c", 2 + d - v)
-    ps = push_entry(ps, "c", v - d - 1)
-    ps = push_entry(ps, "h", 1 + d - v)
-    return push_entry(ps, "h", v)
+    v, d = inst.indexed_value, inst.scalar("d")
+    return _rewritten(inst, c=(2 + d - v, v - d - 1), h=(1 + d - v, v))
 
 
 def _t6c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v = inst.indexed_value
-    d = inst.scalar("d")
-    ps = drop_entry(inst.ps, inst.idx)
-    ps = push_entry(ps, "c", 2 + d - v)
-    ps = push_entry(ps, "c", v - d - 1)
-    return push_entry(ps, "h", 1 + d - v)
+    v, d = inst.indexed_value, inst.scalar("d")
+    return _rewritten(inst, (), c=(2 + d - v, v - d - 1), h=(1 + d - v,))
 
 
 def _t7c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v = inst.indexed_value
-    r = inst.scalar("r")
-    ps = drop_entry(inst.ps, inst.idx)
-    ps = push_entry(ps, "c", v + r)
-    ps = push_entry(ps, "c", _half(v))
-    ps = push_entry(ps, "c", 1 + _half(v + r))
-    ps = push_entry(ps, "h", 1 + r + _half(v))
-    return push_entry(ps, "h", _half(v + r))
+    v, r = inst.indexed_value, inst.scalar("r")
+    return _rewritten(
+        inst, (),
+        c=(v + r, _half(v), 1 + _half(v + r)),
+        h=(1 + r + _half(v), _half(v + r)),
+    )
 
 
 def _t8c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v = inst.indexed_value
-    d = inst.scalar("d")
-    ps = drop_entry(inst.ps, inst.idx)
-    ps = push_entry(ps, "c", _half(v))
-    ps = push_entry(ps, "c", v + d)
-    return push_entry(ps, "h", 1 + d + _half(v))
+    v, d = inst.indexed_value, inst.scalar("d")
+    return _rewritten(inst, (), c=(_half(v), v + d), h=(1 + d + _half(v),))
 
 
 # -- rules that rescale x1 while removing the indexed entry -----------------
@@ -557,7 +556,7 @@ def _t10c_guard(inst: IdentityInstance) -> Optional[str]:
 
 
 def _drop_and_push_negative_k(inst: IdentityInstance, k: int) -> ParameterSet:
-    return push_entry(drop_entry(inst.ps, inst.idx), "c", -k)
+    return _rewritten(inst, (), c=(-k,))
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +569,9 @@ def _register(rule: IdentityRule) -> None:
     RULES[rule.identity_id] = rule
 
 
-_register(_entry_shift_rule("T1a", "a", (0, 1, 2)))
-_register(_entry_shift_rule("T1b", "b", (0, 1)))
-_register(_entry_shift_rule("T1c", "c", (0,)))
+_register(_entry_shift_rule("T1a", "a"))
+_register(_entry_shift_rule("T1b", "b"))
+_register(_entry_shift_rule("T1c", "c"))
 
 _register(_argument_shift_rule("T2x1", 0))
 _register(_argument_shift_rule("T2x2", 1))
@@ -597,8 +596,7 @@ _register(_x1_series_rule(
     "alternating d-weighted x1-series turns one a-entry into new c and h entries",
     extra_upper=lambda inst: (inst.scalar("d"),),
     rhs_params=_t4a_rhs,
-    negate_x1=True,
-    full_shift=True,
+    alternating=True,
     scalar_names=("d",),
 ))
 _register(_x1_series_rule(
@@ -606,8 +604,7 @@ _register(_x1_series_rule(
     "lower one c-entry by d through an alternating x1-series",
     extra_upper=lambda inst: (inst.scalar("d"),),
     rhs_params=_t4c_rhs,
-    negate_x1=True,
-    full_shift=True,
+    alternating=True,
     scalar_names=("d",),
 ))
 _register(_x1_series_rule(
@@ -624,10 +621,8 @@ _register(_x1_series_rule(
 _register(_x1_series_rule(
     "T6a", "a",
     "quadratic-weight x1-series turns one a-entry into two c and two h entries",
-    extra_upper=lambda inst: (),
     rhs_params=_t6a_rhs,
-    negate_x1=True,
-    full_shift=True,
+    alternating=True,
     double_step=True,
     scalar_names=("d",),
     extra_validation=_no_negative_even_d,
@@ -635,10 +630,8 @@ _register(_x1_series_rule(
 _register(_x1_series_rule(
     "T6c", "c",
     "quadratic-weight x1-series replaces one c-entry by two c and one h entries",
-    extra_upper=lambda inst: (),
     rhs_params=_t6c_rhs,
-    negate_x1=True,
-    full_shift=True,
+    alternating=True,
     double_step=True,
     scalar_names=("d",),
     extra_validation=_no_negative_even_d,
@@ -784,9 +777,11 @@ def _lhs_value(
     rule: IdentityRule,
     inst: IdentityInstance,
     policy: TruncationPolicy,
-    outer_cap: int,
+    outer_policy: TruncationPolicy,
+    bound: Optional[int],
 ) -> Tuple[Number, EvaluationResult]:
-    """Outer weighted sum of shifted evaluations, with joint diagnostics."""
+    """Outer weighted sum of shifted evaluations, with joint diagnostics;
+    ``bound`` is the weight's last nonzero k, or None."""
     inner_args = rule.lhs_args(inst)
     inner_results: List[EvaluationResult] = []
 
@@ -801,12 +796,7 @@ def _lhs_value(
         inner_results.append(res)
         return w * res.value
 
-    outer_policy = TruncationPolicy(
-        tol=policy.tol,
-        max_total_degree=outer_cap,
-        stall_window=policy.stall_window,
-    )
-    outer = adaptive_sum(term, outer_policy, exact_bound=weight_bound(rule.weight, inst))
+    outer = adaptive_sum(term, outer_policy, exact_bound=bound)
     converged = outer.converged and all(r.converged for r in inner_results)
     terminated = outer.terminated_exactly and all(
         r.terminated_exactly for r in inner_results
@@ -862,8 +852,15 @@ def check_identity(
     rule = validate_instance(inst)
     if policy is None:
         policy = derived_policy(residual_tol)
+    # Built before the try: a cap below 1 is a caller error, not a failed check.
+    outer_policy = TruncationPolicy(
+        tol=policy.tol,
+        max_total_degree=outer_cap,
+        stall_window=policy.stall_window,
+    )
+    bound = weight_bound(rule.weight, inst)
 
-    if rule.guard is not None and weight_bound(rule.weight, inst) is None:
+    if rule.guard is not None and bound is None:
         reason = rule.guard(inst)
         if reason is not None:
             return CheckReport(
@@ -871,7 +868,7 @@ def check_identity(
             )
 
     try:
-        lhs, lhs_diag = _lhs_value(rule, inst, policy, outer_cap)
+        lhs, lhs_diag = _lhs_value(rule, inst, policy, outer_policy, bound)
         rhs, rhs_diag = _rhs_value(rule, inst, policy)
     except (F3Error, ZeroDivisionError, OverflowError) as exc:
         return CheckReport(
@@ -926,7 +923,9 @@ def instance_from_json(data: Mapping[str, object], backend: str) -> IdentityInst
         if isinstance(i, bool) or not isinstance(i, int):
             raise InvalidInstanceError(f'"index" field "i" must be an int, got {i!r}')
         idx = FamilyIndex(family=raw_idx["family"], i=i)
-    raw_scalars = data.get("scalars") or {}
+    raw_scalars = data.get("scalars")
+    if raw_scalars is None:
+        raw_scalars = {}
     if not isinstance(raw_scalars, Mapping):
         raise InvalidInstanceError(f'"scalars" must be an object, got {raw_scalars!r}')
     scalars = {name: parse_number(value, backend) for name, value in raw_scalars.items()}

@@ -15,16 +15,14 @@ to one of the seven nonempty combinations of the three summation indices:
 
 A :class:`ParameterSet` holds one tuple of scalars per family (any family may
 be empty).  All entries must live in a single arithmetic backend; see
-:mod:`f3sum.numerics`.
-
-Editing helpers (``shift_family``, ``shift_entry``, ``drop_entry``,
-``push_entry``) return new frozen instances, so parameter sets can be shared
-freely between the transformation rules that rewrite them.
+:mod:`f3sum.numerics`.  Parameter sets are frozen, so the resummation rules
+share them freely and build each rewritten set with one
+``dataclasses.replace`` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -207,45 +205,6 @@ class FamilyIndex:
 def entry_value(ps: ParameterSet, idx: FamilyIndex) -> Number:
     idx.check_against(ps)
     return ps.family(idx.family)[idx.i - 1]
-
-
-def replace_family(ps: ParameterSet, name: str, values: Sequence[Number]) -> ParameterSet:
-    if name not in FAMILIES:
-        raise InvalidIndexError(f"unknown parameter family {name!r}")
-    return replace(ps, **{name: tuple(values)})
-
-
-def shift_family(ps: ParameterSet, name: str, delta: Number) -> ParameterSet:
-    """Add delta to every entry of one family."""
-    return replace_family(ps, name, tuple(v + delta for v in ps.family(name)))
-
-
-def shift_entry(ps: ParameterSet, idx: FamilyIndex, delta: Number) -> ParameterSet:
-    """Add delta to a single entry."""
-    idx.check_against(ps)
-    values = list(ps.family(idx.family))
-    values[idx.i - 1] = values[idx.i - 1] + delta
-    return replace_family(ps, idx.family, values)
-
-
-def set_entry(ps: ParameterSet, idx: FamilyIndex, value: Number) -> ParameterSet:
-    idx.check_against(ps)
-    values = list(ps.family(idx.family))
-    values[idx.i - 1] = value
-    return replace_family(ps, idx.family, values)
-
-
-def drop_entry(ps: ParameterSet, idx: FamilyIndex) -> ParameterSet:
-    """Remove a single entry from its family."""
-    idx.check_against(ps)
-    values = list(ps.family(idx.family))
-    del values[idx.i - 1]
-    return replace_family(ps, idx.family, values)
-
-
-def push_entry(ps: ParameterSet, name: str, value: Number) -> ParameterSet:
-    """Append one entry to a family."""
-    return replace_family(ps, name, ps.family(name) + (value,))
 
 
 def termination_bound(values: Sequence[Number]) -> Optional[int]:

@@ -170,6 +170,8 @@ class TestInputErrors:
          "error: args must be a list of exactly three scalars, got 5"),
         (["check", "--json", _instance_json(scalars=[1])],
          'error: "scalars" must be an object, got [1]'),
+        (["check", "--json", _instance_json(scalars=[])],
+         'error: "scalars" must be an object, got []'),
         (["check", "--json", _instance_json(args=5)],
          "error: args must be a list of exactly three scalars, got 5"),
         (["check", "--json", _instance_json(index={"i": 1})],
@@ -183,7 +185,7 @@ class TestInputErrors:
         (["check", "--json", _instance_json(index={"family": "a", "i": 1.5})],
          'error: "index" field "i" must be an int, got 1.5'),
     ], ids=[
-        "params-list", "args-int", "scalars-list", "instance-args-int",
+        "params-list", "args-int", "scalars-list", "scalars-empty-list", "instance-args-int",
         "index-no-family", "index-list", "id-int", "index-i-text", "index-i-float",
     ])
     def test_reported_as_input_error(self, argv, message):

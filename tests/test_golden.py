@@ -22,6 +22,7 @@ from f3sum import (
     check_identity,
     eval_f3,
     eval_pfq,
+    get_rule,
     lemma_case,
     run_suite,
     special_case_inputs,
@@ -38,6 +39,7 @@ X1_SERIES_SHA256 = "e8559cf20eb64e29cae60a6420307b0af74dbbc52a56d3b5d2d6dd3f2ed6
 SUITE_RATIONAL_CSV_SHA256 = "55b147ef251e629a11caba7f35e4f1b2476364d276f593ee5c7dc6f6ff30b773"
 SPECIAL_CASES_SHA256 = "3560e9838022552161353bc18f164316df3626d26fd1fbf8ae59043d72d4110d"
 LEMMA_SERIES_SHA256 = "8d1de701be4c17297a09d2c2499f7945c13f4ff0e784beae177cd49943acfc37"
+DERIVED_PARAMS_SHA256 = "a1c2d15a47a3e3b9dbfb1d82e8973ad3400ab7120bc5638841816e0a3cf8c364"
 
 # Rules whose outer variable is x1: their weights multiply the x1-coupled
 # families in families_along(0) order.
@@ -162,3 +164,18 @@ def test_x1_series_float_values_digest():
             values.append((repr(report.lhs), repr(report.rhs)))
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     assert digest == X1_SERIES_SHA256
+
+
+def test_derived_parameter_sets_digest():
+    # The value digests see an entry only through the series values, so a
+    # family whose order no later step reads can be reordered unseen; this
+    # pins every rewritten parameter set itself, entry order included.
+    digest = hashlib.sha256()
+    for seed in range(6):
+        for rid in IDENTITY_IDS:
+            rule = get_rule(rid)
+            for i in range(5):
+                for inst in (random_instance(rid, seed, i), exact_instance(rid, seed, i)):
+                    sets = [rule.rhs_params(inst)] + [rule.lhs_params(inst, k) for k in range(6)]
+                    digest.update("\n".join(map(repr, sets)).encode())
+    assert digest.hexdigest() == DERIVED_PARAMS_SHA256

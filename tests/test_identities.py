@@ -11,6 +11,8 @@ from f3sum import (
     FamilyIndex,
     IDENTITY_IDS,
     IdentityInstance,
+    InvalidIndexError,
+    InvalidInputError,
     InvalidInstanceError,
     ParameterSet,
     TruncationPolicy,
@@ -306,6 +308,24 @@ class TestPoleShortCircuit:
         assert rep.converged_lhs
 
 
+class TestDerivedParams:
+    @pytest.mark.parametrize("rid, side", [
+        ("T1a", "lhs"), ("T3c", "lhs"), ("T9c", "lhs"),
+        ("T3a", "rhs"), ("T4c", "rhs"), ("T5c", "rhs"),
+    ])
+    def test_index_out_of_range(self, rid, side):
+        # Every derived set that reads or moves the indexed entry checks the
+        # index against its family, unvalidated instances included.
+        rule = get_rule(rid)
+        inst = dense_instance(rid)
+        inst = IdentityInstance(
+            rid, inst.ps, inst.args, idx=FamilyIndex(rule.indexed_family, 2),
+            scalars=inst.scalars,
+        )
+        with pytest.raises(InvalidIndexError, match="out of range"):
+            rule.lhs_params(inst, 1) if side == "lhs" else rule.rhs_params(inst)
+
+
 class TestInstanceJson:
     @pytest.mark.parametrize("rid", ["T1a", "T2x2", "T5c", "T10c"])
     def test_round_trip(self, rid):
@@ -342,6 +362,12 @@ class TestCheckReportSemantics:
         assert isinstance(rep, CheckReport)
         assert not rep.passed
         assert "DenominatorPoleError" in rep.reason
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_outer_cap_below_one_raises(self, cap):
+        # A cap below 1 is a caller error, not a failed check.
+        with pytest.raises(InvalidInputError, match="max_total_degree must be >= 1"):
+            check_identity(dense_instance("T1a"), outer_cap=cap)
 
     def test_internal_value_error_propagates(self, monkeypatch):
         # Only F3Error and arithmetic failures become failed reports; a bare

@@ -1,4 +1,4 @@
-"""Tests for the fourteen-family parameter container and its editing helpers."""
+"""Tests for the fourteen-family parameter container, its index and JSON forms."""
 
 from fractions import Fraction
 
@@ -21,14 +21,8 @@ from f3sum import (
     X3_GROUP,
     combo_degree,
     get_rule,
-    drop_entry,
     entry_value,
     parameter_set_from_json,
-    push_entry,
-    replace_family,
-    set_entry,
-    shift_entry,
-    shift_family,
 )
 from f3sum.params import (
     families_along,
@@ -182,34 +176,6 @@ class TestFamilyIndex:
     def test_unknown_family(self):
         with pytest.raises(InvalidIndexError):
             FamilyIndex("q", 1).check_against(ParameterSet())
-
-
-class TestEditing:
-    def test_shift_entry(self):
-        ps = ParameterSet(a=(1, 5))
-        out = shift_entry(ps, FamilyIndex("a", 2), 3)
-        assert out.a == (1, 8)
-        assert ps.a == (1, 5)
-
-    def test_set_entry(self):
-        out = set_entry(ParameterSet(h=(2,)), FamilyIndex("h", 1), 9)
-        assert out.h == (9,)
-
-    def test_drop_entry(self):
-        out = drop_entry(ParameterSet(c=(1, 2, 3)), FamilyIndex("c", 2))
-        assert out.c == (1, 3)
-
-    def test_push_entry(self):
-        out = push_entry(ParameterSet(c=(1,)), "c", 7)
-        assert out.c == (1, 7)
-
-    def test_shift_family(self):
-        out = shift_family(ParameterSet(g=(1, 2)), "g", Fraction(1, 2))
-        assert out.g == (Fraction(3, 2), Fraction(5, 2))
-
-    def test_replace_family(self):
-        out = replace_family(ParameterSet(), "e", [4, 5])
-        assert out.e == (4, 5)
 
 
 class TestSupport:
