@@ -55,8 +55,7 @@ print("  shells used    ", term.shells_used)
 print()
 
 # Divergence is reported, never papered over: a non-convergent sum runs to
-# the degree cap and comes back with converged=False (or raises with
-# strict=True).
+# the degree cap and comes back with converged=False and its partial sum.
 runaway = eval_f3(ParameterSet(a=(1.0,)), ArgumentTriple(3.0, 3.0, 3.0))
 print("runaway point")
 print("  converged      ", runaway.converged)

@@ -21,10 +21,6 @@ class DenominatorPoleError(F3Error):
     """A denominator Pochhammer factor vanished at a visited lattice point."""
 
 
-class NotConvergedError(F3Error):
-    """Strict-mode evaluation stopped at the cap without meeting the stall rule."""
-
-
 class InvalidInstanceError(F3Error):
     """An identity instance is malformed: wrong scalars, bad index, flagged pole."""
 

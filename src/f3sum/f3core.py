@@ -18,28 +18,31 @@ triangular list, ``shell[m1][m2]`` for the point (m1, m2, s - m1 - m2), so a
 term finds its predecessor by index, and the walk itself looks up no family
 by name.
 
-The backend, classified once, sets how a step computes.  In float64 a term is
-a float: the step multiplies the upstairs factors into ``term * x``, the
-downstairs ones into ``m_d``, and divides once.  In the rational backend a
-term is an integer pair ``(N, D)`` with ``D > 0``.  Every entry ``v = p/q``
-enters its plan as the int ``p`` with its weights multiplied by ``q``, so its
-step factor ``p + (q*w).order`` is the int ``q * (v + order)``, zero exactly
-when ``v + order`` is; the ``q``s of a direction fold into its argument as
-``(x.num * prod q_down, x.den * prod q_up)``.  A step then multiplies ints
-and reduces the pair with one ``gcd``; a shell sums its pairs over the least
-common denominator and becomes a ``Fraction`` once, as it is yielded.  That
-replaces a chain of ``Fraction`` operations, each with its own gcd, per
+The backend, classified once, sets how a term starts and how it is stored;
+the step between is one loop for both.  Every entry ``v = p/q`` enters its
+plan as ``p`` with its weights multiplied by ``q``, so its step factor
+``p + (q*w).order`` is ``q * (v + order)``, zero exactly when ``v + order``
+is.  In float64, ``p = v`` and ``q = 1``: a term is a float, the step
+multiplies the upstairs factors into ``term * x``, the downstairs ones into
+``m_d``, and divides once.  In the rational backend ``p/q`` is the entry's
+reduced fraction, so every factor is an int, and a term is an integer pair
+``(N, D)`` with ``D > 0``; the ``q``s of a direction fold into its argument
+as ``(x.num * prod q_down, x.den * prod q_up)``.  A step then multiplies
+ints and reduces the pair with one ``gcd``; a shell sums its pairs over the
+least common denominator and becomes a ``Fraction`` once, as it is yielded.
+That replaces a chain of ``Fraction`` operations, each with its own gcd, per
 point.
 
 The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
-adds them up under the :class:`~f3sum.numerics.TruncationPolicy`: once the
-shell magnitude stays below tol * max(|sum|, 1) for ``stall_window`` shells in
-a row, the sum stops and reports converged.  When upstairs parameters or zero
-arguments cut the support down to finitely many lattice points, ``eval_f3``
-passes a bound on its top shell as ``exact_bound`` instead, so the stall rule
-cannot end the sum early: it runs to the walk's first empty shell, and the
-value is backend-exact (``terminated_exactly``).  A support that reaches
-past the degree cap falls back to the stall rule.
+draws them, up to the degree cap and no further, and adds them up under the
+:class:`~f3sum.numerics.TruncationPolicy`: once the shell magnitude stays
+below tol * max(|sum|, 1) for ``stall_window`` shells in a row, the sum stops
+and reports converged.  When upstairs parameters or zero arguments cut the
+support down to finitely many lattice points, ``eval_f3`` passes a bound on
+its top shell as ``exact_bound`` instead, so the stall rule cannot end the
+sum early: it runs to the walk's first empty shell, where the generator
+ends, and the value is backend-exact (``terminated_exactly``).  A support
+that reaches past the degree cap falls back to the stall rule.
 
 ``eval_pfq`` is the ordinary generalized hypergeometric series.  It is the
 triple series with every parameter in the two m1-only families (``c``, ``h``)
@@ -139,50 +142,38 @@ def _direction_plan(
 ) -> Tuple[List[tuple], List[tuple], object]:
     """The factors of one lattice step along ``direction``, flattened once.
 
-    Returns ``(upstairs, downstairs, x)``.  In float64, upstairs entries are
-    ``(w1, w2, w3, value)`` and downstairs entries
-    ``(w1, w2, w3, family, j, value)``, where ``w`` is the family's
-    FAMILY_COMBO row and ``j`` the 1-based entry index.  Families keep their
-    families_along order and entries their family order, because the float
-    product depends on it.
+    Returns ``(upstairs, downstairs, x)``.  Each entry ``v`` is written as
+    ``p/q``: ``p = v`` and ``q = 1`` in float64, numerator and denominator
+    with ``exact`` set.  Its weights, the family's FAMILY_COMBO row, are
+    pre-multiplied by ``q``, so its step factor ``p + (q*w).order`` is
+    ``q * (v + order)``, an int in the rational backend.  Upstairs entries
+    are ``(q*w1, q*w2, q*w3, p)`` and downstairs entries
+    ``(q*w1, q*w2, q*w3, p, family, j, v)``, ``j`` the 1-based entry index.
+    Families keep their families_along order and entries their family order,
+    because the float product depends on it.
 
-    With ``exact`` set, each entry ``v = p/q`` becomes the int ``p`` with its
-    weights pre-multiplied by ``q``, so its step factor ``p + (q*w).order`` is
-    the int ``q * (v + order)``: upstairs ``(q*w1, q*w2, q*w3, p)``, and
-    downstairs ``(q*w1, q*w2, q*w3, p, family, j, value)``.  The ``q``s fold
-    into the argument, which becomes the int pair
+    In float64 the argument stays ``x``.  With ``exact`` set the ``q``s fold
+    into it, and it becomes the int pair
     ``(x.num * prod q_down, x.den * prod q_up)``.
     """
     up_families, down_families = _DIRECTION_FAMILIES[direction]
-    if not exact:
-        upstairs = [w + (v,) for name, w in up_families for v in getattr(ps, name)]
-        downstairs = [
-            w + (name, j, v)
-            for name, w in down_families
-            for j, v in enumerate(getattr(ps, name), start=1)
-        ]
-        return upstairs, downstairs, x
-    xn, xd = x.numerator, x.denominator
     upstairs = []
+    q_up = 1
     for name, (w1, w2, w3) in up_families:
         for v in getattr(ps, name):
-            q = v.denominator
-            upstairs.append((q * w1, q * w2, q * w3, v.numerator))
-            xd *= q
+            p, q = (v.numerator, v.denominator) if exact else (v, 1)
+            upstairs.append((q * w1, q * w2, q * w3, p))
+            q_up *= q
     downstairs = []
+    q_down = 1
     for name, (w1, w2, w3) in down_families:
         for j, v in enumerate(getattr(ps, name), start=1):
-            q = v.denominator
-            downstairs.append((q * w1, q * w2, q * w3, v.numerator, name, j, v))
-            xn *= q
-    return upstairs, downstairs, (xn, xd)
-
-
-def _pole(name: str, j: int, v: Number, order: int) -> DenominatorPoleError:
-    return DenominatorPoleError(
-        f"downstairs entry {name}[{j}] = {v!r} vanishes at "
-        f"Pochhammer order {order + 1}"
-    )
+            p, q = (v.numerator, v.denominator) if exact else (v, 1)
+            downstairs.append((q * w1, q * w2, q * w3, p, name, j, v))
+            q_down *= q
+    if exact:
+        x = (x.numerator * q_down, x.denominator * q_up)
+    return upstairs, downstairs, x
 
 
 def _shell_sums(
@@ -196,10 +187,11 @@ def _shell_sums(
     that direction.  The generator returns at the first empty shell: the
     support is a lower set, so every later shell is empty too.
 
-    With ``exact`` set (plans built by ``_direction_plan(..., exact=True)``)
-    each term is an int pair ``(N, D)``, D > 0, reduced by one gcd per point,
-    and each shell sum is an int pair made a Fraction once, as it is yielded.
-    Otherwise terms are floats and each step divides once.
+    Both backends share the step; ``exact`` only decides how a term starts
+    and how it is stored.  In float64 a term is a float, and each step
+    divides once.  With ``exact`` set each term is an int pair ``(N, D)``,
+    D > 0, reduced by one gcd per point, and each shell sum is an int pair
+    made a Fraction once, as it is yielded.
     """
     z1, z2, z3 = (plan is None for plan in plans)
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
@@ -246,17 +238,23 @@ def _shell_sums(
                 if exact:
                     # Small factors first, then one product with the big
                     # term, one gcd, and the sign kept in the numerator.
-                    xn, xd = x
-                    for w1, w2, w3, v in up:
-                        xn = xn * (v + (w1 * p1 + w2 * p2 + w3 * p3))
+                    num, xd = x
                     den = den * xd
-                    for w1, w2, w3, v, name, j, entry in down:
-                        factor = v + (w1 * p1 + w2 * p2 + w3 * p3)
-                        if factor == 0:
-                            c1, c2, c3 = FAMILY_COMBO[name]
-                            raise _pole(name, j, entry, c1 * p1 + c2 * p2 + c3 * p3)
-                        den = den * factor
-                    n = value[0] * xn
+                else:
+                    num = value * x
+                for w1, w2, w3, v in up:
+                    num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
+                for w1, w2, w3, v, name, j, entry in down:
+                    factor = v + (w1 * p1 + w2 * p2 + w3 * p3)
+                    if factor == 0:
+                        c1, c2, c3 = FAMILY_COMBO[name]
+                        raise DenominatorPoleError(
+                            f"downstairs entry {name}[{j}] = {entry!r} vanishes at "
+                            f"Pochhammer order {c1 * p1 + c2 * p2 + c3 * p3 + 1}"
+                        )
+                    den = den * factor
+                if exact:
+                    n = value[0] * num
                     d = value[1] * den
                     g = gcd(n, d)
                     if d < 0:
@@ -268,19 +266,10 @@ def _shell_sums(
                     g = gcd(sum_den, d)
                     shell_sum = shell_sum * (d // g) + n * (sum_den // g)
                     sum_den = sum_den // g * d
-                    continue
-                num = value * x
-                for w1, w2, w3, v in up:
-                    num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
-                for w1, w2, w3, name, j, v in down:
-                    order = w1 * p1 + w2 * p2 + w3 * p3
-                    factor = v + order
-                    if factor == 0:
-                        raise _pole(name, j, v, order)
-                    den = den * factor
-                value = num / den
-                row.append(value)
-                shell_sum = shell_sum + value
+                else:
+                    value = num / den
+                    row.append(value)
+                    shell_sum = shell_sum + value
         if not visited:
             return
         prev = cur
@@ -321,14 +310,12 @@ def eval_f3(
     ps: ParameterSet,
     args: ArgumentTriple,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    *,
-    strict: bool = False,
 ) -> EvaluationResult:
     """Sum the triple series at ``args`` under ``policy``.
 
-    Parameters and arguments must share one arithmetic backend.  With
-    ``strict`` set, failing to converge within the degree cap raises
-    NotConvergedError instead of returning a partial sum.
+    Parameters and arguments must share one arithmetic backend.  A series
+    that does not settle within the degree cap returns its partial sum with
+    ``converged`` False.
     """
     exact = classify_backend(ps.all_entries() + args.to_list()) != FLOAT64
     # A zero argument keeps the walk off its direction, which needs no plan.
@@ -337,9 +324,8 @@ def eval_f3(
     ]
     bounds = numerator_bounds(ps)
     cuts = [FAMILY_COMBO[name] + (b,) for name, b in bounds.items() if b is not None]
-    shells = _shell_sums(plans, cuts, exact)
     top = _top_shell(plans, cuts, policy.max_total_degree)
-    return adaptive_sum(lambda s: next(shells, None), policy, exact_bound=top, strict=strict)
+    return adaptive_sum(_shell_sums(plans, cuts, exact), policy, exact_bound=top)
 
 
 def eval_pfq(
@@ -347,8 +333,6 @@ def eval_pfq(
     lower: Sequence[Number],
     x: Number,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    *,
-    strict: bool = False,
 ) -> EvaluationResult:
     """Sum the generalized hypergeometric series pFq(upper; lower; x).
 
@@ -360,4 +344,4 @@ def eval_pfq(
     DenominatorPoleError.
     """
     ps = ParameterSet(c=tuple(upper), h=tuple(lower))
-    return eval_f3(ps, ArgumentTriple(x, 0, 0), policy, strict=strict)
+    return eval_f3(ps, ArgumentTriple(x, 0, 0), policy)

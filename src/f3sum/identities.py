@@ -21,6 +21,7 @@ on the m1 axis; the lemmas share no algebra with it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -796,7 +797,7 @@ def _lhs_value(
         inner_results.append(res)
         return w * res.value
 
-    outer = adaptive_sum(term, outer_policy, exact_bound=bound)
+    outer = adaptive_sum(map(term, itertools.count()), outer_policy, exact_bound=bound)
     converged = outer.converged and all(r.converged for r in inner_results)
     terminated = outer.terminated_exactly and all(
         r.terminated_exactly for r in inner_results
@@ -850,9 +851,12 @@ def check_identity(
     backend.
     """
     rule = validate_instance(inst)
+    # Checked before the try: a negative or NaN tolerance, like a cap below 1
+    # (which the outer policy rejects), is a caller error, not a failed check.
+    if not residual_tol >= 0:
+        raise InvalidInputError(f"residual_tol must be >= 0, got {residual_tol!r}")
     if policy is None:
         policy = derived_policy(residual_tol)
-    # Built before the try: a cap below 1 is a caller error, not a failed check.
     outer_policy = TruncationPolicy(
         tol=policy.tol,
         max_total_degree=outer_cap,

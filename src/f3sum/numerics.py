@@ -12,22 +12,23 @@ raises :class:`~f3sum.errors.BackendMismatchError` on a float/Fraction mix.
 The module also provides the rising factorial (Pochhammer symbol), the
 truncation policy / result records used by every adaptive summation, and
 ``adaptive_sum`` itself, the single stall-rule loop the rest of the package
-builds on.
+builds on.  It sums an iterator of terms: the shell sums of an ``eval_f3``
+walk, or the outer k-terms of an identity check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     BackendMismatchError,
     ComplexPowerError,
     InexactPowerError,
     InvalidInputError,
-    NotConvergedError,
 )
 
 Number = Union[int, float, Fraction]
@@ -209,27 +210,27 @@ def below_threshold(mag: Number, reference: Number, tol: float) -> bool:
 
 
 def adaptive_sum(
-    term: Callable[[int], Number],
+    terms: Iterable[Number],
     policy: TruncationPolicy,
     exact_bound: Optional[int] = None,
-    strict: bool = False,
 ) -> EvaluationResult:
-    """Sum term(0) + term(1) + ... under the policy's stall rule.
+    """Sum the terms of an iterator under the policy's stall rule.
 
-    Terms are requested in strictly increasing order, once each, so stateful
-    term closures are safe and the result is bitwise reproducible.
+    Terms are drawn in order, once each, and at most ``limit + 1`` of them
+    (the cap, or ``exact_bound`` below it), so no term past the limit is
+    ever computed and the result is bitwise reproducible.
 
-    A term of None promises that no later term is nonzero: the sum so far is
-    exact and returned converged and terminated_exactly, with shells_used and
-    last_shell_magnitude taken from the last real term.
+    An iterator that ends promises that no later term is nonzero: the sum
+    so far is exact and returned converged and terminated_exactly, with
+    shells_used and last_shell_magnitude taken from the last term.
 
-    exact_bound, when given, promises term(k) == 0 for every k > exact_bound.
-    If the bound fits under the cap the slice is summed in full, or up to a
-    None term, and the result is flagged terminated_exactly.
+    exact_bound, when given, promises that every term past index
+    exact_bound is zero.  If the bound fits under the cap, the terms up to it
+    are summed in full, or to the iterator's end, and the result is flagged
+    terminated_exactly.
 
-    Hitting the cap without satisfying the stall rule leaves converged False
-    (and raises NotConvergedError when strict is set); the partial sum is
-    still returned.
+    Hitting the cap without satisfying the stall rule leaves converged
+    False; the partial sum is still returned.
     """
     exact = exact_bound is not None and exact_bound <= policy.max_total_degree
     limit = exact_bound if exact else policy.max_total_degree
@@ -238,13 +239,9 @@ def adaptive_sum(
     used = 0
     last_mag: Number = 0
     converged = terminated = exact
-    for k in range(limit + 1):
-        t_k = term(k)
-        if t_k is None:
-            converged = terminated = True
-            break
+    for t_k in itertools.islice(terms, limit + 1):
         total = total + t_k
-        used = k + 1
+        used += 1
         last_mag = abs(t_k)
         if exact:
             continue
@@ -255,10 +252,10 @@ def adaptive_sum(
                 break
         else:
             streak = 0
-    if strict and not converged:
-        raise NotConvergedError(
-            f"series did not settle within {policy.max_total_degree} terms"
-        )
+    else:
+        # Fewer than limit + 1 terms: the iterator ended, so the sum is complete.
+        if used <= limit:
+            converged = terminated = True
     return EvaluationResult(
         value=total,
         shells_used=used,

@@ -22,6 +22,7 @@ share them freely and build each rewritten set with one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -161,9 +162,12 @@ def parse_number(raw, backend: str) -> Number:
     if backend == RATIONAL and isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     try:
-        return coerce_number(value, backend)
+        value = coerce_number(value, backend)
     except OverflowError as exc:
         raise InvalidInputError("number outside the float64 range") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidInputError(f"not a finite number: {raw!r}")
+    return value
 
 
 def parameter_set_from_json(data: Mapping[str, Sequence], backend: str = FLOAT64) -> ParameterSet:

@@ -38,7 +38,6 @@ from .identities import (
     IdentityInstance,
     binomial_1f0,
     check_identity,
-    derived_policy,
     get_rule,
     nearly_poised_3f2,
     saalschutz_3f2,
@@ -107,9 +106,11 @@ _LEMMAS: Dict[str, Tuple[int, Callable[..., tuple], Callable[..., Number]]] = {
     ),
 }
 LEMMA_NAMES: Tuple[str, ...] = tuple(_LEMMAS)
+# The largest terminating order n a generated lemma case draws.
+_LEMMA_MAX_ORDER = 15
 
 
-def lemma_case(name: str, seed: int, index: int, max_order: int = 15) -> LemmaCase:
+def lemma_case(name: str, seed: int, index: int) -> LemmaCase:
     """Deterministically generate one valid case for the named lemma.
 
     Rejection-samples until both the closed form and the series are free of
@@ -120,7 +121,7 @@ def lemma_case(name: str, seed: int, index: int, max_order: int = 15) -> LemmaCa
     sevenths, pattern, closed_form = _LEMMAS[name]
     rng = random.Random(f"{seed}:{name}:{index}")
     for _ in range(500):
-        n = rng.randrange(0, max_order + 1)
+        n = rng.randrange(0, _LEMMA_MAX_ORDER + 1)
         drawn = [_seventh(rng) for _ in range(sevenths)]
         try:
             upper, lower, x = pattern(n, *drawn)
@@ -355,11 +356,6 @@ class SuiteConfig:
     jobs: int = 1
     policy: Optional[TruncationPolicy] = None
 
-    def series_policy(self) -> TruncationPolicy:
-        if self.policy is not None:
-            return self.policy
-        return derived_policy(self.residual_tol)
-
 
 def _lemma_row(config: SuiteConfig, name: str, index: int) -> Dict[str, object]:
     case = lemma_case(name, config.seed, index)
@@ -399,7 +395,7 @@ def _identity_row(config: SuiteConfig, rid: str, index: int) -> Dict[str, object
         inst = random_instance(rid, config.seed, index)
     report = check_identity(
         inst,
-        policy=config.series_policy(),
+        policy=config.policy,
         residual_tol=config.residual_tol,
         outer_cap=config.outer_cap,
     )
@@ -411,7 +407,7 @@ def _special_row(config: SuiteConfig, kind: str, index: int) -> Dict[str, object
     ps, args, t = special_case_inputs(kind, config.seed, index, config.backend)
     report = check_special_case(
         kind, ps, args, t,
-        policy=config.series_policy(),
+        policy=config.policy,
         residual_tol=config.residual_tol,
         outer_cap=config.outer_cap,
     )

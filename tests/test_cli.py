@@ -184,9 +184,14 @@ class TestInputErrors:
          'error: "index" field "i" must be an int, got \'x\''),
         (["check", "--json", _instance_json(index={"family": "a", "i": 1.5})],
          'error: "index" field "i" must be an int, got 1.5'),
+        (["eval", "--params", '{"a": [1.5]}', "--args", "[Infinity, 0, 0]"],
+         "error: not a finite number: inf"),
+        (["check", "--tol", "-1", "--json", _instance_json()],
+         "error: residual_tol must be >= 0, got -1.0"),
     ], ids=[
         "params-list", "args-int", "scalars-list", "scalars-empty-list", "instance-args-int",
         "index-no-family", "index-list", "id-int", "index-i-text", "index-i-float",
+        "args-infinity", "negative-tol",
     ])
     def test_reported_as_input_error(self, argv, message):
         proc = run_cli(*argv)

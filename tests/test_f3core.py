@@ -13,7 +13,6 @@ from f3sum import (
     DenominatorPoleError,
     FAMILY_COMBO,
     InvalidInputError,
-    NotConvergedError,
     ParameterSet,
     TruncationPolicy,
     arguments_from_json,
@@ -250,13 +249,17 @@ class TestEvalF3:
         res = eval_f3(ParameterSet(a=(1.0,)), ArgumentTriple(3.0, 3.0, 3.0))
         assert not res.converged
 
-    def test_divergent_strict_raises(self):
-        with pytest.raises(NotConvergedError):
-            eval_f3(
-                ParameterSet(a=(1.0,)),
-                ArgumentTriple(3.0, 3.0, 3.0),
-                strict=True,
-            )
+    @pytest.mark.parametrize("v, x", [(-3.0, 0.1), (-3, Fraction(1, 10))],
+                             ids=["float", "rational"])
+    def test_cap_bounds_the_shells_computed(self, v, x):
+        # (-3)_4 = 0, so shell 4 is a pole: a cap of 3 must stop the walk
+        # before it computes that shell, and a cap of 4 reaches it.
+        ps = ParameterSet(h=(v,))
+        res = eval_f3(ps, ArgumentTriple(x, 0, 0), TruncationPolicy(max_total_degree=3))
+        assert res.shells_used == 4
+        assert not res.converged
+        with pytest.raises(DenominatorPoleError, match="at Pochhammer order 4$"):
+            eval_f3(ps, ArgumentTriple(x, 0, 0), TruncationPolicy(max_total_degree=4))
 
     def test_tiny_tolerance_fails_closed(self):
         res = eval_f3(
@@ -309,10 +312,6 @@ class TestEvalPfq:
         res = eval_pfq([-2], [-4], 1)
         assert res.terminated_exactly
         assert res.value == Fraction(19, 12)
-
-    def test_divergent_strict(self):
-        with pytest.raises(NotConvergedError):
-            eval_pfq([2.0, 3.0], [1.0], 1.5, strict=True)
 
 
 # Exact entries for the property test: ints, and Fractions of both signs

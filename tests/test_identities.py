@@ -369,6 +369,16 @@ class TestCheckReportSemantics:
         with pytest.raises(InvalidInputError, match="max_total_degree must be >= 1"):
             check_identity(dense_instance("T1a"), outer_cap=cap)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_residual_tol_raises(self, tol):
+        # A tolerance no residual can meet is a caller error, not a failed
+        # check.
+        with pytest.raises(InvalidInputError, match="residual_tol must be >= 0"):
+            check_identity(dense_instance("T1a"), residual_tol=tol)
+
+    def test_zero_residual_tol_asks_for_exact_equality(self):
+        assert check_identity(exact_instance("T1a", 0, 0), residual_tol=0.0).passed
+
     def test_internal_value_error_propagates(self, monkeypatch):
         # Only F3Error and arithmetic failures become failed reports; a bare
         # ValueError from inside the evaluation is a bug and must surface.

@@ -1,6 +1,7 @@
 """Tests for backend classification, exact arithmetic and adaptive summation."""
 
 from fractions import Fraction
+from itertools import count, repeat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,6 @@ from f3sum import (
     FLOAT64,
     InexactPowerError,
     InvalidInputError,
-    NotConvergedError,
     RATIONAL,
     TruncationPolicy,
     adaptive_sum,
@@ -226,26 +226,27 @@ class TestAdaptiveSum:
     def test_geometric_needs_wide_cap(self):
         # ratio 0.5 needs roughly 41 terms for 1e-12 relative accuracy
         policy = TruncationPolicy(tol=1e-12, max_total_degree=80, stall_window=3)
-        res = adaptive_sum(lambda k: 0.5**k, policy)
+        res = adaptive_sum((0.5**k for k in count()), policy)
         assert res.converged
         assert not res.terminated_exactly
         assert res.value == pytest.approx(2.0, rel=1e-11)
 
     def test_geometric_fails_closed_at_default_cap(self):
-        res = adaptive_sum(lambda k: 0.5**k, TruncationPolicy())
+        res = adaptive_sum((0.5**k for k in count()), TruncationPolicy())
         assert not res.converged
 
     def test_fast_series_at_default_policy(self):
         # sum_k (2)_k / k! * 0.2^k = (1 - 0.2)^(-2)
         res = adaptive_sum(
-            lambda k: pochhammer(2, k) * 0.2**k / pochhammer(1, k), TruncationPolicy()
+            (pochhammer(2, k) * 0.2**k / pochhammer(1, k) for k in count()),
+            TruncationPolicy(),
         )
         assert res.converged
         assert res.value == pytest.approx(1.5625, rel=1e-12)
 
     def test_exact_bound_sums_fully(self):
         res = adaptive_sum(
-            lambda k: Fraction(1, 2) ** k, TruncationPolicy(), exact_bound=4
+            (Fraction(1, 2) ** k for k in count()), TruncationPolicy(), exact_bound=4
         )
         assert res.terminated_exactly
         assert res.converged
@@ -254,25 +255,35 @@ class TestAdaptiveSum:
 
     def test_exact_bound_above_cap_falls_back(self):
         policy = TruncationPolicy(tol=1e-12, max_total_degree=10, stall_window=3)
-        res = adaptive_sum(lambda k: 0.0 if k else 1.0, policy, exact_bound=50)
+        res = adaptive_sum((0.0 if k else 1.0 for k in count()), policy, exact_bound=50)
         assert res.converged
         assert not res.terminated_exactly
 
-    def test_none_term_ends_the_sum_exactly(self):
-        # None means no later term is nonzero: the sum is complete, and the
-        # diagnostics describe the last real term.
-        terms = [Fraction(1), Fraction(-3, 2), Fraction(1, 4), None]
-        res = adaptive_sum(lambda k: terms[k], TruncationPolicy(), strict=True)
+    def test_ended_iterator_ends_the_sum_exactly(self):
+        # An iterator that ends means no later term is nonzero: the sum is
+        # complete, and the diagnostics describe the last term.
+        terms = iter([Fraction(1), Fraction(-3, 2), Fraction(1, 4)])
+        res = adaptive_sum(terms, TruncationPolicy())
         assert res.value == Fraction(-1, 4)
         assert res.shells_used == 3
         assert res.last_shell_magnitude == 0.25
         assert res.converged
         assert res.terminated_exactly
 
-    def test_strict_raises(self):
-        with pytest.raises(NotConvergedError):
-            adaptive_sum(lambda k: 1.0, TruncationPolicy(), strict=True)
+    @pytest.mark.parametrize("cap, exact_bound, drawn", [
+        (5, None, 6), (5, 3, 4), (5, 9, 6),
+    ], ids=["cap", "exact-bound", "exact-bound-above-cap"])
+    def test_draws_no_term_past_the_limit(self, cap, exact_bound, drawn):
+        # Terms 0..limit are drawn and no more: drawing one past the limit
+        # would compute a shell the cap excludes.
+        def terms():
+            yield from repeat(1.0, drawn)
+            raise AssertionError(f"term {drawn} drawn past the limit")
+
+        res = adaptive_sum(terms(), TruncationPolicy(max_total_degree=cap), exact_bound)
+        assert res.shells_used == drawn
+        assert res.value == float(drawn)
 
     def test_nonstrict_reports_divergence(self):
-        res = adaptive_sum(lambda k: float(k + 1), TruncationPolicy())
+        res = adaptive_sum((float(k + 1) for k in count()), TruncationPolicy())
         assert not res.converged

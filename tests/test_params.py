@@ -147,6 +147,8 @@ class TestParseFormat:
     @pytest.mark.parametrize("raw, backend", [
         (float("inf"), RATIONAL),
         (float("nan"), RATIONAL),
+        (float("nan"), FLOAT64),
+        (float("inf"), FLOAT64),
         (10**400, FLOAT64),
         ("1e400", FLOAT64),
     ])
