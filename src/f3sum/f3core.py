@@ -37,7 +37,8 @@ The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
 draws them, up to the degree cap and no further, and adds them up under the
 :class:`~f3sum.numerics.TruncationPolicy`: once the shell magnitude stays
 below tol * max(|sum|, 1) for ``stall_window`` shells in a row, the sum stops
-and reports converged.  When upstairs parameters or zero arguments cut the
+and reports converged, unless the family sizes show a zero radius of
+convergence.  When upstairs parameters or zero arguments cut the
 support down to finitely many lattice points, ``eval_f3`` passes a bound on
 its top shell as ``exact_bound`` instead, so the stall rule cannot end the
 sum early: it runs to the walk's first empty shell, where the generator
@@ -52,7 +53,7 @@ and x2 = x3 = 0, so it is one ``eval_f3`` call and shares its walk.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -70,12 +71,14 @@ from .numerics import (
 )
 from .params import (
     DENOMINATOR_FAMILIES,
+    FAMILIES,
     FAMILY_COMBO,
     NUMERATOR_FAMILIES,
     ParameterSet,
     combo_degree,
     families_along,
     numerator_bounds,
+    order_excess,
     parse_number,
 )
 
@@ -314,8 +317,8 @@ def eval_f3(
     """Sum the triple series at ``args`` under ``policy``.
 
     Parameters and arguments must share one arithmetic backend.  A series
-    that does not settle within the degree cap returns its partial sum with
-    ``converged`` False.
+    that does not settle within the degree cap, or whose radius of
+    convergence is zero, returns its partial sum with ``converged`` False.
     """
     exact = classify_backend(ps.all_entries() + args.to_list()) != FLOAT64
     # A zero argument keeps the walk off its direction, which needs no plan.
@@ -325,7 +328,14 @@ def eval_f3(
     bounds = numerator_bounds(ps)
     cuts = [FAMILY_COMBO[name] + (b,) for name, b in bounds.items() if b is not None]
     top = _top_shell(plans, cuts, policy.max_total_degree)
-    return adaptive_sum(_shell_sums(plans, cuts, exact), policy, exact_bound=top)
+    result = adaptive_sum(_shell_sums(plans, cuts, exact), policy, exact_bound=top)
+    if top is None and result.converged:
+        # Along a live direction no cut bounds, terms grow like (m!)^(excess - 1).
+        lengths = {name: len(getattr(ps, name)) for name in FAMILIES}
+        if any(order_excess(lengths, d) > 1 for d, plan in enumerate(plans)
+               if plan is not None and not any(cut[d] for cut in cuts)):
+            return replace(result, converged=False)
+    return result
 
 
 def eval_pfq(

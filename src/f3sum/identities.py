@@ -52,7 +52,6 @@ from .params import (
     FAMILY_COMBO,
     FamilyIndex,
     ParameterSet,
-    X1_GROUP,
     entry_value,
     families_along,
     format_number,
@@ -446,7 +445,7 @@ def _x1_series_rule(
             power_base=power_base,
             double_step=double_step,
         ),
-        lhs_params=lambda inst, k: _shifted(inst, X1_GROUP, k, keep_indexed=not alternating),
+        lhs_params=lambda inst, k: _shifted(inst, upper + lower, k, keep_indexed=not alternating),
         lhs_args=_args_unchanged,
         rhs_prefactor=_one,
         rhs_params=rhs_params,

@@ -22,6 +22,7 @@ share them freely and build each rewritten set with one
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,7 @@ FAMILY_COMBO: Dict[str, Tuple[int, int, int]] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def families_along(*dirs: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """(upstairs, downstairs) families whose Pochhammer order grows with every
     summation index in ``dirs`` (0, 1, 2 for m1, m2, m3), in FAMILIES order."""
@@ -67,10 +69,12 @@ def families_along(*dirs: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return along(NUMERATOR_FAMILIES), along(DENOMINATOR_FAMILIES)
 
 
-# Families whose Pochhammer order grows with the given argument direction.
-X1_GROUP: Tuple[str, ...] = sum(families_along(0), ())
-X2_GROUP: Tuple[str, ...] = sum(families_along(1), ())
-X3_GROUP: Tuple[str, ...] = sum(families_along(2), ())
+def order_excess(lengths: Mapping[str, int], *dirs: int) -> int:
+    """Upstairs minus downstairs entries in ``families_along(*dirs)``, given
+    each family's entry count.  Along one uncut direction the terms grow like
+    (m!)^(excess - 1), so there an excess above 1 means radius zero."""
+    upper, lower = families_along(*dirs)
+    return sum(lengths[f] for f in upper) - sum(lengths[f] for f in lower)
 
 
 def combo_degree(family: str, m1: int, m2: int, m3: int) -> int:

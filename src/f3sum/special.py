@@ -29,9 +29,10 @@ class Layout:
               argument order,
     rule      the rule that checks the whole function; a rule with an
               indexed family acts on entry 1 of that family,
-    draws     the rational suite's draw for each parameter: ``-n`` (the
-              instance order), ``-m`` (a fresh order), ``up`` (a positive
-              seventh) or ``down`` (1 + a positive seventh).
+    draws     the rational suite's draw for each parameter, a code of the
+              ``suite._DRAWS`` table that the rule recipes share: ``-n``
+              (the instance order), ``-m`` (a fresh order), ``up`` (a
+              positive seventh) or ``down`` (1 + a positive seventh).
     """
 
     families: Tuple[str, ...]

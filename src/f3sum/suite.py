@@ -17,9 +17,12 @@ rows never depend on generation order or worker count.
 In the float64 backend, rule instances are rejection-sampled until the
 family sizes satisfy the balance conditions that keep both the plain series
 and all its outer shifts convergent at the suite's small arguments.  In the
-rational backend each rule instead gets a terminating recipe: nonpositive
-integer entries cut off every series involved, both sides are summed in
-full, and a passing row means the two exact values are identical.
+rational backend each rule instead gets a terminating recipe, one row of
+``_RECIPES``: nonpositive integer entries cut off every series involved,
+both sides are summed in full, and a passing row means the two exact values
+are identical.  Recipes and special-case layouts name their rational draws
+by the codes of one table, ``_DRAWS``; a rule's free scalars are drawn by
+name (``t`` a signed seventh, ``r`` and ``d`` thirds).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .identities import (
     watson_4f3,
 )
 from .numerics import FLOAT64, RATIONAL, Number, TruncationPolicy
-from .params import FAMILIES, FamilyIndex, ParameterSet, families_along
+from .params import FAMILIES, FamilyIndex, ParameterSet, order_excess
 from .special import SPECIAL_KINDS, check_special_case, get_layout, special_params
 
 CSV_COLUMNS: Tuple[str, ...] = (
@@ -135,12 +138,94 @@ def lemma_case(name: str, seed: int, index: int) -> LemmaCase:
 
 
 # ---------------------------------------------------------------------------
-# Float64 rule instances: balanced random families.
+# Draw codes and rule recipes.
 
 
-_BALANCE_GROUPS = tuple(
-    families_along(*dirs) for dirs in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2))
-)
+# The rational draw of each code, given the RNG and the instance order n.
+# Special-case layouts and rule recipes both name their draws by these codes.
+_DRAWS: Dict[str, Callable[[random.Random, int], Number]] = {
+    "-n": lambda rng, n: -n,
+    "-m": lambda rng, n: -rng.randrange(1, 7),
+    "-1": lambda rng, n: -1,
+    "up": lambda rng, n: _seventh(rng, 1, 20),
+    "down": lambda rng, n: 1 + _seventh(rng, 1, 20),
+    "signed": lambda rng, n: _seventh(rng, -20, 20),
+    # Denominator 3 for the free scalars: sums with denominator-7 entries
+    # (and their halves) can never be integers, so no derived downstairs
+    # parameter lands on a pole.
+    "third": lambda rng, n: Fraction(rng.choice((1, 2, 4, 5)), 3),
+    "ninth": lambda rng, n: Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 9),
+    "fifth": lambda rng, n: Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 5),
+}
+# The rational draw of each free scalar a rule names.
+_SCALAR_DRAWS = {"t": "signed", "r": "third", "d": "third"}
+
+
+def _t_off_zero(rng: random.Random, x1: float) -> float:
+    # the rescaled argument carries 1/t, keep t away from 0
+    magnitude = rng.uniform(0.05, 0.2)
+    return magnitude if rng.random() < 0.5 else -magnitude
+
+
+def _t_off_minus_x1(rng: random.Random, x1: float) -> float:
+    t = rng.uniform(-0.2, 0.2)
+    while abs(t + x1) < 0.02:
+        t = rng.uniform(-0.2, 0.2)
+    return t
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """How the suite draws one rule's instances.
+
+    params   the rational ``(family, *codes)`` entries in draw order, each
+             code a key of ``_DRAWS``; a family of None is drawn and dropped,
+    x1       the code that redraws x1 after the scalars, if any,
+    float_t  the float64 draw of ``t`` from ``(rng, x1)``.
+    """
+
+    params: Tuple[tuple, ...]
+    x1: Optional[str] = None
+    float_t: Callable[[random.Random, float], float] = lambda rng, x1: rng.uniform(-0.2, 0.2)
+
+
+# Terminating -1 markers in the three single-index upstairs families.
+_ONES = (("c", "-1"), ("cp", "-1"), ("cpp", "-1"))
+# The x1-series rules share one frame per indexed family: the markers bound
+# the lattice and cut the outer weight off at k = 1.
+_X1_A = (("a", "up"),) + _ONES + (("h", "down"),)
+_X1_C = (("c", "up", "-1"),) + _ONES[1:] + (("h", "down"),)
+# T9c and T10c draw the c frame's first entry and drop it (family None):
+# their c family is (-n, -1), and the dropped draw keeps their RNG stream.
+_X1_C_DROPPED = ((None, "up"), ("c", "-n", "-1")) + _ONES[1:] + (("h", "down"),)
+
+# One row per rule.  The terminating entries (-n on the indexed entry, -1
+# markers) bound all three lattice directions at every outer k and keep the
+# binomial prefactors at integer powers.
+_RECIPES: Dict[str, _Recipe] = {
+    "T1a": _Recipe((("a", "-n"), ("c", "up"), ("h", "down"))),
+    "T1b": _Recipe((("b", "-n"), ("cpp", "-1"), ("h", "down"))),
+    "T1c": _Recipe((("c", "-n"),) + _ONES[1:] + (("e", "down"),)),
+    "T2x1": _Recipe(_ONES + (("b", "up"), ("h", "down"))),
+    "T2x2": _Recipe(_ONES + (("bp", "up"), ("hp", "down"))),
+    "T2x3": _Recipe(_ONES + (("bpp", "up"), ("hpp", "down"))),
+    "T3a": _Recipe(_X1_A),
+    "T3c": _Recipe(_X1_C),
+    "T4a": _Recipe(_X1_A),
+    "T4c": _Recipe(_X1_C),
+    "T5c": _Recipe(_X1_C),
+    "T6a": _Recipe(_X1_A),
+    "T6c": _Recipe(_X1_C),
+    "T7c": _Recipe(_X1_C),
+    "T8c": _Recipe(_X1_C),
+    "T9c": _Recipe(_X1_C_DROPPED, x1="ninth", float_t=_t_off_zero),
+    # denominator 5 makes t + x1 structurally nonzero against the sevenths in t
+    "T10c": _Recipe(_X1_C_DROPPED, x1="fifth", float_t=_t_off_minus_x1),
+}
+
+
+# ---------------------------------------------------------------------------
+# Rule instances.
 
 
 def _balanced(lengths: Dict[str, int]) -> bool:
@@ -149,15 +234,16 @@ def _balanced(lengths: Dict[str, int]) -> bool:
     Per direction the upstairs order may exceed the downstairs by at most
     one (the factorial supplies the last power).  The pair conditions bound
     the growth that outer k-shifts inject into the two other directions."""
-    for up, down in _BALANCE_GROUPS:
-        if sum(lengths[f] for f in up) > sum(lengths[f] for f in down) + 1:
-            return False
-    return True
+    return all(
+        order_excess(lengths, *dirs) <= 1
+        for dirs in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2))
+    )
 
 
 def random_instance(identity_id: str, seed: int, index: int) -> IdentityInstance:
     """Seeded float64 instance for one rule: balanced family sizes, entries
-    in [0.3, 2.5], arguments within 0.05, free scalars in mild ranges."""
+    in [0.3, 2.5], arguments within 0.05, ``t`` as the rule's recipe draws
+    it and the other free scalars in mild ranges."""
     rule = get_rule(identity_id)
     rng = random.Random(f"{seed}:{identity_id}:{index}")
 
@@ -168,133 +254,45 @@ def random_instance(identity_id: str, seed: int, index: int) -> IdentityInstance
         if _balanced(lengths):
             break
 
-    fields = {
+    ps = ParameterSet(**{
         f: tuple(rng.uniform(0.3, 2.5) for _ in range(lengths[f])) for f in FAMILIES
-    }
-    ps = ParameterSet(**fields)
+    })
     x1, x2, x3 = (rng.uniform(-0.05, 0.05) for _ in range(3))
     args = ArgumentTriple(x1, x2, x3)
+    float_t = _RECIPES[identity_id].float_t
+    scalars = {
+        name: float_t(rng, x1) if name == "t" else rng.choice((0.3, 0.7, 1.4))
+        for name in sorted(rule.scalar_names)
+    }
 
-    scalars: Dict[str, Number] = {}
-    for name in sorted(rule.scalar_names):
-        if name == "t":
-            if identity_id == "T9c":
-                # the rescaled argument carries 1/t, keep t away from 0
-                magnitude = rng.uniform(0.05, 0.2)
-                scalars["t"] = magnitude if rng.random() < 0.5 else -magnitude
-            elif identity_id == "T10c":
-                t = rng.uniform(-0.2, 0.2)
-                while abs(t + x1) < 0.02:
-                    t = rng.uniform(-0.2, 0.2)
-                scalars["t"] = t
-            else:
-                scalars["t"] = rng.uniform(-0.2, 0.2)
-        else:
-            scalars[name] = rng.choice((0.3, 0.7, 1.4))
-
+    family = rule.indexed_family
     idx = None
-    if rule.indexed_family is not None:
-        idx = FamilyIndex(
-            rule.indexed_family,
-            rng.randrange(1, lengths[rule.indexed_family] + 1),
-        )
+    if family is not None:
+        idx = FamilyIndex(family, rng.randrange(1, lengths[family] + 1))
     return IdentityInstance(identity_id, ps, args, idx=idx, scalars=scalars)
-
-
-# ---------------------------------------------------------------------------
-# Rational rule instances: terminating recipes.
-
-
-def _pos_seventh(rng: random.Random) -> Fraction:
-    return _seventh(rng, 1, 20)
-
-
-def _signed_seventh(rng: random.Random) -> Fraction:
-    return _seventh(rng, -20, 20)
-
-
-def _third(rng: random.Random) -> Fraction:
-    # Denominator 3 for the free scalars: sums with denominator-7 entries
-    # (and their halves) can never be integers, so no derived downstairs
-    # parameter lands on a pole.
-    return Fraction(rng.choice((1, 2, 4, 5)), 3)
-
-
-def _small_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 9)
-
-
-def _rational_args(rng: random.Random) -> ArgumentTriple:
-    return ArgumentTriple(_small_rational(rng), _small_rational(rng), _small_rational(rng))
 
 
 def exact_instance(identity_id: str, seed: int, index: int) -> IdentityInstance:
     """Seeded rational instance for one rule, built so that the outer sum
     and every series on both sides terminate.
 
-    Terminating entries (-n on the indexed entry, -1 markers on the single
-    index families) bound all three lattice directions at every outer k and
-    keep the binomial prefactors at integer powers; all other entries are
-    sevenths, all free scalars thirds, so no downstairs parameter produced by
-    a rewrite can be an integer.  Both sides are then exact sums and a
-    correct rule gives a residual of exactly zero.
+    The rule's ``_RECIPES`` row places its terminating entries; all other
+    entries are sevenths, ``r`` and ``d`` thirds, so no downstairs parameter
+    produced by a rewrite can be an integer.  Both sides are then exact sums
+    and a correct rule gives a residual of exactly zero.
     """
+    rule = get_rule(identity_id)
+    recipe = _RECIPES[identity_id]
     rng = random.Random(f"{seed}:{identity_id}:exact:{index}")
     n = rng.randrange(1, 7)
-    args = _rational_args(rng)
-
-    if identity_id == "T1a":
-        ps = ParameterSet(a=(-n,), c=(_pos_seventh(rng),), h=(1 + _pos_seventh(rng),))
-        return IdentityInstance(identity_id, ps, args, idx=FamilyIndex("a", 1),
-                                scalars={"t": _signed_seventh(rng)})
-    if identity_id == "T1b":
-        ps = ParameterSet(b=(-n,), cpp=(-1,), h=(1 + _pos_seventh(rng),))
-        return IdentityInstance(identity_id, ps, args, idx=FamilyIndex("b", 1),
-                                scalars={"t": _signed_seventh(rng)})
-    if identity_id == "T1c":
-        ps = ParameterSet(c=(-n,), cp=(-1,), cpp=(-1,), e=(1 + _pos_seventh(rng),))
-        return IdentityInstance(identity_id, ps, args, idx=FamilyIndex("c", 1),
-                                scalars={"t": _signed_seventh(rng)})
-
-    if identity_id in ("T2x1", "T2x2", "T2x3"):
-        extra_up = {"T2x1": "b", "T2x2": "bp", "T2x3": "bpp"}[identity_id]
-        extra_down = {"T2x1": "h", "T2x2": "hp", "T2x3": "hpp"}[identity_id]
-        fields = {"c": (-1,), "cp": (-1,), "cpp": (-1,)}
-        fields[extra_up] = (_pos_seventh(rng),)
-        fields[extra_down] = (1 + _pos_seventh(rng),)
-        return IdentityInstance(identity_id, ParameterSet(**fields), args,
-                                scalars={"t": _signed_seventh(rng)})
-
-    # The x1-series rules share one terminating frame: -1 markers in the
-    # three single-index upstairs families bound the lattice and cut the
-    # outer weight off at k = 1.
-    v = _pos_seventh(rng)
-    rule = get_rule(identity_id)
-    base = {"cp": (-1,), "cpp": (-1,), "h": (1 + _pos_seventh(rng),)}
-    if identity_id in ("T9c", "T10c"):
-        base["c"] = (-n, -1)
-        idx = FamilyIndex("c", 1)
-        t = _signed_seventh(rng)
-        if identity_id == "T9c":
-            x1 = _small_rational(rng)
-        else:
-            # denominator 5 makes t + x1 structurally nonzero against the
-            # sevenths in t
-            x1 = Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), 5)
-        ps = ParameterSet(**base)
-        triple = ArgumentTriple(x1, args.x2, args.x3)
-        return IdentityInstance(identity_id, ps, triple, idx=idx, scalars={"t": t})
-
-    if rule.indexed_family == "a":
-        base["a"] = (v,)
-        base["c"] = (-1,)
-        idx = FamilyIndex("a", 1)
-    else:
-        base["c"] = (v, -1)
-        idx = FamilyIndex("c", 1)
-    ps = ParameterSet(**base)
-    scalars = {name: _third(rng) for name in sorted(rule.scalar_names)}
-    return IdentityInstance(identity_id, ps, args, idx=idx, scalars=scalars)
+    args = ArgumentTriple(*(_DRAWS["ninth"](rng, n) for _ in range(3)))
+    fields = {f: tuple(_DRAWS[code](rng, n) for code in codes) for f, *codes in recipe.params}
+    fields.pop(None, None)
+    scalars = {name: _DRAWS[_SCALAR_DRAWS[name]](rng, n) for name in sorted(rule.scalar_names)}
+    if recipe.x1 is not None:
+        args = ArgumentTriple(_DRAWS[recipe.x1](rng, n), args.x2, args.x3)
+    idx = None if rule.indexed_family is None else FamilyIndex(rule.indexed_family, 1)
+    return IdentityInstance(identity_id, ParameterSet(**fields), args, idx=idx, scalars=scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +309,19 @@ def _is_exact(backend: str) -> bool:
     return backend == RATIONAL
 
 
-# The rational draw of each parameter code in a special-case layout, given
-# the instance order n.
-_SPECIAL_DRAWS: Dict[str, Callable[[random.Random, int], Number]] = {
-    "-n": lambda rng, n: -n,
-    "-m": lambda rng, n: -rng.randrange(1, 7),
-    "up": lambda rng, n: _pos_seventh(rng),
-    "down": lambda rng, n: 1 + _pos_seventh(rng),
-}
-
-
 def special_case_inputs(
     kind: str, seed: int, index: int, backend: str = FLOAT64
 ) -> Tuple[ParameterSet, ArgumentTriple, Number]:
     """Seeded inputs (embedded parameter set, arguments, t) for one classical
-    function.  The rational backend draws each parameter as its layout says,
-    with terminating upper parameters so the check is exact."""
+    function.  The rational backend draws each parameter by its layout's
+    ``_DRAWS`` code, with terminating upper parameters so the check is exact."""
     layout = get_layout(kind)
     rng = random.Random(f"{seed}:{kind}:{index}")
     if _is_exact(backend):
         n = rng.randrange(1, 7)
-        ps = special_params(kind, *(_SPECIAL_DRAWS[draw](rng, n) for draw in layout.draws))
-        return ps, _rational_args(rng), _signed_seventh(rng)
+        ps = special_params(kind, *(_DRAWS[code](rng, n) for code in layout.draws))
+        args = ArgumentTriple(*(_DRAWS["ninth"](rng, n) for _ in range(3)))
+        return ps, args, _DRAWS["signed"](rng, n)
 
     ps = special_params(kind, *(rng.uniform(0.3, 2.5) for _ in layout.families))
     # these layouts put two numerator families against one denominator

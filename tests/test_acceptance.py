@@ -5,6 +5,7 @@ form ``criterion N (<what it covers>): PASS/FAIL [detail]`` directly to the
 terminal, bypassing capture, then asserts.
 """
 
+import itertools
 import json
 import math
 import os
@@ -283,12 +284,15 @@ def test_criterion_4_classical_special_cases(capsys):
 
 
 def test_criterion_5_exact_rational_zero_residual(capsys):
-    """Ten terminating rational instances of the argument-rescale rule close
-    with residual exactly zero."""
+    """Terminating rational instances of every rule close with residual
+    exactly zero: ten per rule at seed 505 (the argument-rescale rule T9c
+    among them), and five per rule at each of seeds 1-9, so every recipe
+    row is pinned beyond the golden seed 0."""
+    cases = [(505, i) for i in range(10)] + [(s, i) for s in range(1, 10) for i in range(5)]
     t0 = perf_counter()
     failures = []
-    for i in range(10):
-        inst = exact_instance("T9c", seed=505, index=i)
+    for rid, (seed, i) in itertools.product(IDENTITY_IDS, cases):
+        inst = exact_instance(rid, seed=seed, index=i)
         rep = check_identity(inst)
         exact = (
             rep.passed
@@ -298,10 +302,11 @@ def test_criterion_5_exact_rational_zero_residual(capsys):
             and isinstance(rep.lhs, Fraction)
         )
         if not exact:
-            failures.append((i, rep.reason, rep.residual))
+            failures.append((rid, seed, i, rep.reason, rep.residual))
     elapsed = perf_counter() - t0
     ok = not failures and elapsed < 30.0
-    detail = f"10 instances, {len(failures)} inexact, {elapsed:.2f}s"
+    count = len(IDENTITY_IDS) * len(cases)
+    detail = f"{count} instances, {len(failures)} inexact, {elapsed:.2f}s"
     _verdict(capsys, 5, "terminating rational instances are exact", ok, detail)
 
 

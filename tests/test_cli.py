@@ -75,6 +75,23 @@ class TestEval:
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["converged"] is False
 
+    @pytest.mark.parametrize(
+        "backend, entry, x",
+        [("float64", 1.5, 1e-6), ("rational", "3/2", "1/1000000")],
+    )
+    def test_zero_radius_exit_code(self, backend, entry, x):
+        # 3F0 diverges at every x != 0, however small its first shells are
+        proc = run_cli(
+            "eval",
+            "--params", json.dumps({"c": [entry] * 3}),
+            "--args", json.dumps([x, 0, 0]),
+            "--backend", backend,
+        )
+        assert proc.returncode == 2
+        out = json.loads(proc.stdout)
+        assert out["converged"] is False
+        assert out["shells_used"] == 6
+
     def test_unknown_family_exit_code(self):
         proc = run_cli("eval", "--params", '{"zz": [1]}', "--args", "[0, 0, 0]")
         assert proc.returncode == 1

@@ -249,6 +249,43 @@ class TestEvalF3:
         res = eval_f3(ParameterSet(a=(1.0,)), ArgumentTriple(3.0, 3.0, 3.0))
         assert not res.converged
 
+    @pytest.mark.parametrize(
+        "ps, args",
+        [
+            (ParameterSet(c=(1.5,) * 3), ArgumentTriple(1e-6, 0, 0)),
+            (ParameterSet(c=(Fraction(3, 2),) * 3), ArgumentTriple(Fraction(1, 10**6), 0, 0)),
+            (ParameterSet(a=(1.5,), b=(1.5,), bpp=(1.2,)), ArgumentTriple(1e-5, 0, 0)),
+            (
+                ParameterSet(a=(Fraction(3, 2),), b=(Fraction(3, 2),), bpp=(Fraction(6, 5),)),
+                ArgumentTriple(Fraction(1, 10**5), 0, 0),
+            ),
+        ],
+        ids=["3F0-float", "3F0-rational", "a-b-bpp-float", "a-b-bpp-rational"],
+    )
+    def test_zero_radius_is_never_converged(self, ps, args):
+        # Three upstairs entries and no downstairs one move with m1, so the
+        # terms grow like (m1!)^2 x1^m1: the series diverges at every x1 != 0,
+        # although its first shells fall below the stall threshold.
+        res = eval_f3(ps, args)
+        assert res.shells_used == 6
+        assert not res.converged
+        assert not res.terminated_exactly
+
+    @pytest.mark.parametrize(
+        "ps, args",
+        [
+            # one excess entry along x1: 2F1, radius 1
+            (ParameterSet(c=(1.5, 1.5), h=(1.2,)), ArgumentTriple(0.1, 0, 0)),
+            # the excess direction is cut off by c = -2
+            (ParameterSet(c=(1.5, 1.5, -2.0)), ArgumentTriple(0.1, 0, 0)),
+            # the excess direction has a zero argument
+            (ParameterSet(c=(1.5,), cp=(1.5,) * 3), ArgumentTriple(0.1, 0, 0)),
+        ],
+        ids=["excess-one", "cut", "zero-argument"],
+    )
+    def test_zero_radius_needs_a_live_uncut_direction(self, ps, args):
+        assert eval_f3(ps, args).converged
+
     @pytest.mark.parametrize("v, x", [(-3.0, 0.1), (-3, Fraction(1, 10))],
                              ids=["float", "rational"])
     def test_cap_bounds_the_shells_computed(self, v, x):

@@ -16,9 +16,6 @@ from f3sum import (
     NUMERATOR_FAMILIES,
     ParameterSet,
     RATIONAL,
-    X1_GROUP,
-    X2_GROUP,
-    X3_GROUP,
     combo_degree,
     get_rule,
     entry_value,
@@ -29,6 +26,7 @@ from f3sum.params import (
     format_number,
     in_support,
     numerator_bounds,
+    order_excess,
     parse_number,
     termination_bound,
 )
@@ -65,19 +63,30 @@ class TestFamilyLayout:
         assert combo_degree(family, 1, 2, 3) == expect
 
     def test_direction_groups(self):
-        assert X1_GROUP == ("a", "b", "bpp", "c", "e", "g", "gpp", "h")
-        assert X2_GROUP == ("a", "b", "bp", "cp", "e", "g", "gp", "hp")
-        assert X3_GROUP == ("a", "bp", "bpp", "cpp", "e", "gp", "gpp", "hpp")
-        for group in (X1_GROUP, X2_GROUP, X3_GROUP):
+        x1_group, x2_group, x3_group = (sum(families_along(d), ()) for d in range(3))
+        assert x1_group == ("a", "b", "bpp", "c", "e", "g", "gpp", "h")
+        assert x2_group == ("a", "b", "bp", "cp", "e", "g", "gp", "hp")
+        assert x3_group == ("a", "bp", "bpp", "cpp", "e", "gp", "gpp", "hpp")
+        for group in (x1_group, x2_group, x3_group):
             ups = [f for f in group if f in NUMERATOR_FAMILIES]
             downs = [f for f in group if f in DENOMINATOR_FAMILIES]
             assert len(ups) == len(downs) == 4
         assert families_along(0, 1) == (("a", "b"), ("e", "g"))
         assert families_along(1, 2) == (("a", "bp"), ("e", "gp"))
         assert families_along(0, 2) == (("a", "bpp"), ("e", "gpp"))
-        for d, group in enumerate((X1_GROUP, X2_GROUP, X3_GROUP)):
+        for d, group in enumerate((x1_group, x2_group, x3_group)):
             weight = get_rule(f"T2x{d + 1}").weight
             assert weight.upper_families + weight.lower_families == group
+
+    def test_order_excess(self):
+        lengths = dict.fromkeys(FAMILIES, 0)
+        lengths.update(a=1, bp=2, c=2, h=1, gp=1)
+        assert order_excess(lengths, 0) == 1 + 2 - 1
+        assert order_excess(lengths, 1) == 1 + 2 - 1
+        assert order_excess(lengths, 2) == 1 + 2 - 1
+        assert order_excess(lengths, 0, 1) == 1
+        assert order_excess(lengths, 1, 2) == 1 + 2 - 1
+        assert order_excess(lengths, 0, 1, 2) == 1
 
 
 class TestParameterSet:
