@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
     p_suite.add_argument("--instances", type=int, default=5,
                          help="instances per lemma, rule, and special case")
     p_suite.add_argument("--out", default="f3sum_suite.csv", help="CSV output path")
-    p_suite.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p_suite.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_suite.add_argument("--outer-cap", type=int, default=40, dest="outer_cap")
     _add_series_flags(p_suite, DEFAULT_RESIDUAL_TOL)
     p_suite.set_defaults(func=cmd_suite)

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import csv
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import F3Error, InvalidInputError, InvalidInstanceError
 from .f3core import ArgumentTriple, eval_pfq
@@ -411,29 +410,39 @@ _ROW_GROUPS = (
 )
 
 
+def _row(task: tuple) -> Dict[str, object]:
+    """One suite row from a ``(section, row function, config, name, index)`` task."""
+    _, row_fn, config, name, i = task
+    return row_fn(config, name, i)
+
+
 def run_suite(config: SuiteConfig) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     """Run all row groups; returns (summary, rows).
 
-    Row order is fixed regardless of worker count: tasks are enumerated up
-    front as plain (section, row function, name, index) tuples and results
-    collected by position.
+    With ``jobs > 1`` the rows run in that many forked worker processes,
+    created for this call and joined before it returns.  Row order, and so
+    the CSV bytes, are the same at any worker count: tasks are enumerated up
+    front as picklable (section, row function, config, name, index) tuples and
+    results collected by position.
     """
     tasks = [
-        (section, row_fn, name, i)
+        (section, row_fn, config, name, i)
         for section, row_fn, names in _ROW_GROUPS
         for name in names
         for i in range(config.instances)
     ]
-
-    def run(task: Tuple[str, Callable[..., Dict[str, object]], str, int]) -> Dict[str, object]:
-        _, row_fn, name, i = task
-        return row_fn(config, name, i)
-
     if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run, tasks))
+        # Imported here: the serial path should not pay their memory.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Fork, named because Python 3.14 drops it as the Linux default:
+        # workers inherit the imported package and its warm caches.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=context) as pool:
+            results = list(pool.map(_row, tasks))
     else:
-        results = [run(task) for task in tasks]
+        results = [_row(task) for task in tasks]
 
     sections: Dict[str, Dict[str, int]] = {}
     for (section, *_), row in zip(tasks, results):

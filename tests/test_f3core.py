@@ -22,6 +22,7 @@ from f3sum import (
     lambda_coeff,
     pochhammer,
 )
+from f3sum.params import families_along, order_excess
 
 
 def naive_f3(ps, args, degree):
@@ -441,3 +442,48 @@ def test_rational_pfq_equals_naive_term_loop(case):
     assert res.terminated_exactly
     assert isinstance(res.value, (int, Fraction))
     assert res.value == naive_pfq(upper, lower, x, top)
+
+
+# Entries that never vanish as Pochhammer bases: positive ints and
+# non-integer Fractions, so no upstairs cut and no downstairs pole.
+_NONVANISHING = st.one_of(st.integers(1, 4), _NON_INTEGER)
+# Argument sizes 10^-1 .. 10^-12, either sign.
+_SMALL_ARGUMENT = st.builds(
+    Fraction, st.sampled_from((1, -1)), st.integers(1, 12).map(lambda k: 10**k)
+)
+
+
+@st.composite
+def zero_radius_cases(draw):
+    """An exact parameter set, arguments and a direction d whose argument is
+    nonzero, that no upstairs cut touches, and along which g =
+    order_excess - 1 is positive, so the terms grow like (m!)^g x_d^m."""
+    d = draw(st.integers(0, 2))
+    upper_d, _ = families_along(d)
+    fields = {}
+    for name in FAMILY_COMBO:
+        upstairs_off_d = name not in DENOMINATOR_FAMILIES and name not in upper_d
+        entries = _UPSTAIRS if upstairs_off_d else _NONVANISHING
+        fields[name] = tuple(draw(st.lists(entries, max_size=2)))
+    lengths = {name: len(v) for name, v in fields.items()}
+    extra = max(0, 2 - order_excess(lengths, d)) + draw(st.integers(0, 2))
+    grow = draw(st.sampled_from(upper_d))
+    fields[grow] += tuple(draw(st.lists(_NONVANISHING, min_size=extra, max_size=extra)))
+    args = [draw(st.one_of(st.just(0), _SMALL_ARGUMENT)) for _ in range(3)]
+    args[d] = draw(_SMALL_ARGUMENT)
+    return fields, args, d
+
+
+@settings(max_examples=50, deadline=None)
+@given(zero_radius_cases())
+def test_zero_radius_is_never_converged_in_either_backend(case):
+    fields, args, d = case
+    lengths = {name: len(v) for name, v in fields.items()}
+    assert order_excess(lengths, d) - 1 > 0
+    exact = eval_f3(ParameterSet(**fields), ArgumentTriple(*args))
+    floats = eval_f3(
+        ParameterSet(**{name: tuple(map(float, v)) for name, v in fields.items()}),
+        ArgumentTriple(*map(float, args)),
+    )
+    assert not exact.converged
+    assert not floats.converged

@@ -9,6 +9,8 @@ import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from f3sum import (
     FLOAT64,
     IDENTITY_IDS,
@@ -59,6 +61,22 @@ def test_rational_suite_csv_digest(tmp_path):
     path = tmp_path / "suite.csv"
     write_rows_csv(rows, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_RATIONAL_CSV_SHA256
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (SuiteConfig(seed=0, instances=2, jobs=2), SUITE_CSV_SHA256),
+        (SuiteConfig(seed=0, instances=5, backend=RATIONAL, jobs=2), SUITE_RATIONAL_CSV_SHA256),
+    ],
+    ids=["float", "rational"],
+)
+def test_pooled_suite_csv_digest(tmp_path, config, digest):
+    # Rows computed in worker processes must give the serial bytes.
+    _, rows = run_suite(config)
+    path = tmp_path / "suite.csv"
+    write_rows_csv(rows, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_special_case_instances_digest():
