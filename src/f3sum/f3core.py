@@ -66,16 +66,11 @@ from .numerics import (
     TruncationPolicy,
     adaptive_sum,
     classify_backend,
-    exact_div,
-    pochhammer_product,
 )
 from .params import (
-    DENOMINATOR_FAMILIES,
     FAMILIES,
     FAMILY_COMBO,
-    NUMERATOR_FAMILIES,
     ParameterSet,
-    combo_degree,
     families_along,
     numerator_bounds,
     order_excess,
@@ -105,28 +100,6 @@ def arguments_from_json(raw: Sequence, backend: str) -> ArgumentTriple:
         raise InvalidInputError(f"args must be a list of exactly three scalars, got {raw!r}")
     x1, x2, x3 = (parse_number(v, backend) for v in raw)
     return ArgumentTriple(x1, x2, x3)
-
-
-def lambda_coeff(ps: ParameterSet, m1: int, m2: int, m3: int) -> Number:
-    """Series coefficient L(m1, m2, m3): upstairs Pochhammer products over
-    downstairs ones.  Raises DenominatorPoleError when a downstairs product
-    vanishes, since the ratio is undefined there."""
-    for m in (m1, m2, m3):
-        if not isinstance(m, int) or m < 0:
-            raise InvalidInputError(
-                f"lattice indices must be non-negative ints, got {m!r}"
-            )
-    num: Number = 1
-    for name in NUMERATOR_FAMILIES:
-        num = num * pochhammer_product(ps.family(name), combo_degree(name, m1, m2, m3))
-    den: Number = 1
-    for name in DENOMINATOR_FAMILIES:
-        den = den * pochhammer_product(ps.family(name), combo_degree(name, m1, m2, m3))
-    if den == 0:
-        raise DenominatorPoleError(
-            f"downstairs Pochhammer product vanishes at ({m1}, {m2}, {m3})"
-        )
-    return exact_div(num, den)
 
 
 # Per lattice direction, the families whose Pochhammer order steps along it

@@ -127,6 +127,11 @@ class WeightShape:
     ``extra_upper``/``extra_lower`` contribute scalar Pochhammer
     factors, ``power_base`` a geometric factor base**k, ``double_step`` the
     quadratic factor :func:`dd_weight`.  An implicit 1/k! always applies.
+
+    The same factors decide where a non-terminating outer sum converges:
+    w(k) grows like (k!)**excess * base**k (:func:`weight_divergence`), and
+    an ``extra_lower`` value at a nonpositive integer puts the weight at a
+    pole, which :func:`validate_instance` rejects.
     """
 
     upper_families: Tuple[str, ...] = ()
@@ -192,9 +197,43 @@ def weight_bound(shape: WeightShape, inst: IdentityInstance) -> Optional[int]:
     return min(bounds) if bounds else None
 
 
+def weight_divergence(shape: WeightShape, inst: IdentityInstance) -> Optional[str]:
+    """Why a non-terminating outer sum cannot converge, or None.
+
+    Horn's criterion on the one index k: w(k+1)/w(k) grows like
+    k**excess * base, where excess counts upstairs factors (upper-family
+    entries without the indexed one, ``extra_upper``, and one for
+    ``double_step``) minus downstairs factors (lower-family entries,
+    ``extra_lower``, and the 1/k!).  A positive excess means radius zero;
+    at zero excess the sum needs |base| < 1.
+    """
+    up = sum(len(_family_minus_index(inst, name)) for name in shape.upper_families)
+    up += len(shape.extra_upper(inst)) + shape.double_step
+    down = sum(len(inst.ps.family(name)) for name in shape.lower_families)
+    down += len(shape.extra_lower(inst))
+    excess = up - down - 1
+    if excess > 0:
+        return (
+            f"outer weight grows like (k!)**{excess}: the outer sum has zero "
+            "radius of convergence"
+        )
+    if excess == 0:
+        ratio = abs(shape.power_base(inst))
+        if ratio >= 1:
+            return (
+                f"outer geometric ratio |power_base| = {magnitude_as_float(ratio)} "
+                ">= 1: the outer sum diverges"
+            )
+    return None
+
+
 @dataclass(frozen=True)
 class IdentityRule:
-    """One resummation rule: weight, left-side shifts, right-side rewrite."""
+    """One resummation rule: weight, left-side shifts, right-side rewrite.
+
+    The parts a rule leaves out pass the instance through unchanged: the
+    left side's inner arguments, the right side's parameters and arguments,
+    and a prefactor of 1."""
 
     identity_id: str
     summary: str
@@ -202,12 +241,11 @@ class IdentityRule:
     scalar_names: Tuple[str, ...]
     weight: WeightShape
     lhs_params: Callable[[IdentityInstance, int], ParameterSet]
-    lhs_args: Callable[[IdentityInstance], ArgumentTriple]
-    rhs_prefactor: Callable[[IdentityInstance], Number]
-    rhs_params: Callable[[IdentityInstance], ParameterSet]
-    rhs_args: Callable[[IdentityInstance], ArgumentTriple]
+    lhs_args: Callable[[IdentityInstance], ArgumentTriple] = lambda inst: inst.args
+    rhs_prefactor: Callable[[IdentityInstance], Number] = lambda inst: 1
+    rhs_params: Callable[[IdentityInstance], ParameterSet] = lambda inst: inst.ps
+    rhs_args: Callable[[IdentityInstance], ArgumentTriple] = lambda inst: inst.args
     extra_validation: Optional[Callable[[IdentityInstance], None]] = None
-    guard: Optional[Callable[[IdentityInstance], Optional[str]]] = None
 
 
 @dataclass(frozen=True)
@@ -287,18 +325,6 @@ def _rewritten(
     return replace(inst.ps, **fields)
 
 
-def _args_unchanged(inst: IdentityInstance) -> ArgumentTriple:
-    return inst.args
-
-
-def _params_unchanged(inst: IdentityInstance) -> ParameterSet:
-    return inst.ps
-
-
-def _one(inst: IdentityInstance) -> Number:
-    return 1
-
-
 def _half(v: Number) -> Number:
     return exact_div(v, 2)
 
@@ -315,21 +341,6 @@ def _no_negative_even_d(inst: IdentityInstance) -> None:
         "scalar d must not be a negative even integer: the quadratic weight "
         "is only equivalent to its Pochhammer-quotient form away from those points",
     )
-
-
-def _require_not_nonpositive_int(value: Number, what: str) -> None:
-    _require(
-        not is_nonpositive_integer(value),
-        f"{what} = {value!r} is a nonpositive integer, placing a downstairs "
-        "weight factor at a pole",
-    )
-
-
-def _geometric_guard(inst: IdentityInstance) -> Optional[str]:
-    t = inst.scalar("t")
-    if abs(t) >= 1:
-        return f"outer geometric ratio |t| = {magnitude_as_float(abs(t))} >= 1"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +378,9 @@ def _entry_shift_rule(rid: str, family: str) -> IdentityRule:
             power_base=lambda inst: inst.scalar("t"),
         ),
         lhs_params=lambda inst, k: _rewritten(inst, (inst.indexed_value + k,)),
-        lhs_args=_args_unchanged,
         rhs_prefactor=lambda inst: number_pow(1 - inst.scalar("t"), -inst.indexed_value),
-        rhs_params=_params_unchanged,
         rhs_args=rhs_args,
         extra_validation=validation,
-        guard=_geometric_guard,
     )
 
 
@@ -399,9 +407,6 @@ def _argument_shift_rule(rid: str, direction: int) -> IdentityRule:
             power_base=lambda inst: inst.scalar("t"),
         ),
         lhs_params=lambda inst, k: _shifted(inst, upper + lower, k),
-        lhs_args=_args_unchanged,
-        rhs_prefactor=_one,
-        rhs_params=_params_unchanged,
         rhs_args=rhs_args,
     )
 
@@ -446,10 +451,7 @@ def _x1_series_rule(
             double_step=double_step,
         ),
         lhs_params=lambda inst, k: _shifted(inst, upper + lower, k, keep_indexed=not alternating),
-        lhs_args=_args_unchanged,
-        rhs_prefactor=_one,
         rhs_params=rhs_params,
-        rhs_args=_args_unchanged,
         extra_validation=extra_validation,
     )
 
@@ -543,18 +545,6 @@ def _t10c_validation(inst: IdentityInstance) -> None:
     )
 
 
-def _t10c_guard(inst: IdentityInstance) -> Optional[str]:
-    t = inst.scalar("t")
-    x1 = inst.args.x1
-    ratio = abs(exact_div(t + x1, x1 - 1))
-    if ratio >= 1:
-        return (
-            "outer geometric ratio |(t+x1)/(x1-1)| = "
-            f"{magnitude_as_float(ratio)} >= 1"
-        )
-    return None
-
-
 def _drop_and_push_negative_k(inst: IdentityInstance, k: int) -> ParameterSet:
     return _rewritten(inst, (), c=(-k,))
 
@@ -614,9 +604,6 @@ _register(_x1_series_rule(
     extra_lower=lambda inst: (inst.scalar("d") + inst.scalar("r") + inst.indexed_value,),
     rhs_params=_t5c_rhs,
     scalar_names=("d", "r"),
-    extra_validation=lambda inst: _require_not_nonpositive_int(
-        inst.scalar("d") + inst.scalar("r") + inst.indexed_value, "d + r + c[i]"
-    ),
 ))
 _register(_x1_series_rule(
     "T6a", "a",
@@ -643,18 +630,7 @@ _register(_x1_series_rule(
     extra_lower=lambda inst: (1 + inst.scalar("r") + _half(inst.indexed_value),),
     rhs_params=_t7c_rhs,
     scalar_names=("r",),
-    extra_validation=lambda inst: _require_not_nonpositive_int(
-        1 + inst.scalar("r") + _half(inst.indexed_value), "1 + r + c[i]/2"
-    ),
 ))
-
-
-def _t8c_validation(inst: IdentityInstance) -> None:
-    _no_negative_even_d(inst)
-    _require_not_nonpositive_int(
-        1 + inst.scalar("d") + _half(inst.indexed_value), "1 + d + c[i]/2"
-    )
-
 
 _register(_x1_series_rule(
     "T8c", "c",
@@ -664,7 +640,7 @@ _register(_x1_series_rule(
     rhs_params=_t8c_rhs,
     double_step=True,
     scalar_names=("d",),
-    extra_validation=_t8c_validation,
+    extra_validation=_no_negative_even_d,
 ))
 
 _register(IdentityRule(
@@ -679,10 +655,7 @@ _register(IdentityRule(
     lhs_params=_drop_and_push_negative_k,
     lhs_args=_t9c_lhs_args,
     rhs_prefactor=lambda inst: number_pow(1 + inst.scalar("t"), -inst.indexed_value),
-    rhs_params=_params_unchanged,
-    rhs_args=_args_unchanged,
     extra_validation=_t9c_validation,
-    guard=_geometric_guard,
 ))
 
 _register(IdentityRule(
@@ -701,10 +674,7 @@ _register(IdentityRule(
     rhs_prefactor=lambda inst: number_pow(
         exact_div(1 - inst.args.x1, 1 + inst.scalar("t")), inst.indexed_value
     ),
-    rhs_params=_params_unchanged,
-    rhs_args=_args_unchanged,
     extra_validation=_t10c_validation,
-    guard=_t10c_guard,
 ))
 
 IDENTITY_IDS: Tuple[str, ...] = tuple(RULES)
@@ -758,6 +728,12 @@ def validate_instance(inst: IdentityInstance) -> IdentityRule:
         inst.idx.check_against(inst.ps)
     if rule.extra_validation is not None:
         rule.extra_validation(inst)
+    for v in rule.weight.extra_lower(inst):
+        _require(
+            not is_nonpositive_integer(v),
+            f"downstairs weight factor {format_number(v)} is a nonpositive "
+            "integer, placing the outer weight at a pole",
+        )
     return rule
 
 
@@ -841,7 +817,8 @@ def check_identity(
     """Evaluate both sides of one rule and compare.
 
     Malformed instances raise InvalidInstanceError.  Inputs outside the
-    convergence domain of a non-terminating outer sum, and evaluation
+    convergence domain of a non-terminating outer sum, which
+    :func:`weight_divergence` reads off the weight's growth, and evaluation
     failures (any F3Error, such as a pole or an inexact power, a division by
     zero or a float overflow), come back as failed reports with a reason
     rather than exceptions; any other exception is a bug and propagates.  A
@@ -862,9 +839,8 @@ def check_identity(
         stall_window=policy.stall_window,
     )
     bound = weight_bound(rule.weight, inst)
-
-    if rule.guard is not None and bound is None:
-        reason = rule.guard(inst)
+    if bound is None:
+        reason = weight_divergence(rule.weight, inst)
         if reason is not None:
             return CheckReport(
                 identity_id=inst.identity_id, passed=False, reason=reason

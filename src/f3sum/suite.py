@@ -31,7 +31,7 @@ import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import F3Error, InvalidInputError, InvalidInstanceError
 from .f3core import ArgumentTriple, eval_pfq

@@ -13,16 +13,40 @@ from f3sum import (
     DenominatorPoleError,
     FAMILY_COMBO,
     InvalidInputError,
+    NUMERATOR_FAMILIES,
     ParameterSet,
     TruncationPolicy,
     arguments_from_json,
     combo_degree,
     eval_f3,
     eval_pfq,
-    lambda_coeff,
+    exact_div,
     pochhammer,
+    pochhammer_product,
 )
 from f3sum.params import families_along, order_excess
+
+
+def lambda_coeff(ps, m1, m2, m3):
+    """Series coefficient L(m1, m2, m3) from its definition: upstairs
+    Pochhammer products over downstairs ones.  Raises DenominatorPoleError
+    when a downstairs product vanishes, since the ratio is undefined there."""
+    for m in (m1, m2, m3):
+        if not isinstance(m, int) or m < 0:
+            raise InvalidInputError(
+                f"lattice indices must be non-negative ints, got {m!r}"
+            )
+    num = 1
+    for name in NUMERATOR_FAMILIES:
+        num = num * pochhammer_product(ps.family(name), combo_degree(name, m1, m2, m3))
+    den = 1
+    for name in DENOMINATOR_FAMILIES:
+        den = den * pochhammer_product(ps.family(name), combo_degree(name, m1, m2, m3))
+    if den == 0:
+        raise DenominatorPoleError(
+            f"downstairs Pochhammer product vanishes at ({m1}, {m2}, {m3})"
+        )
+    return exact_div(num, den)
 
 
 def naive_f3(ps, args, degree):

@@ -190,6 +190,25 @@ class TestInstanceValidation:
         rule = validate_instance(dense_instance("T5c"))
         assert rule.identity_id == "T5c"
 
+    # c[i] = 1/2 puts each rule's downstairs scalar factor (d + r + c[i] for
+    # T5c, 1 + r + c[i]/2 for T7c, 1 + d + c[i]/2 for T8c) at 0, then at -1.
+    @pytest.mark.parametrize("rid, scalars", [
+        ("T5c", {"d": Fraction(1, 2), "r": Fraction(-1)}),
+        ("T5c", {"d": Fraction(1, 2), "r": Fraction(-2)}),
+        ("T7c", {"r": Fraction(-5, 4)}),
+        ("T7c", {"r": Fraction(-9, 4)}),
+        ("T8c", {"d": Fraction(-5, 4)}),
+        ("T8c", {"d": Fraction(-9, 4)}),
+    ])
+    def test_downstairs_weight_pole_rejected(self, rid, scalars):
+        bad = IdentityInstance(
+            rid, ParameterSet(c=(Fraction(1, 2),)),
+            ArgumentTriple(Fraction(1, 10), 0, 0),
+            idx=FamilyIndex("c", 1), scalars=scalars,
+        )
+        with pytest.raises(InvalidInstanceError, match="nonpositive integer"):
+            validate_instance(bad)
+
 
 class TestGuards:
     def test_geometric_guard_is_soft(self):
@@ -213,6 +232,40 @@ class TestGuards:
         )
         assert not rep.passed
         assert rep.reason is not None
+
+    def test_zero_radius_weight_is_refused(self):
+        # Six upstairs entries along x1 and none downstairs: the outer
+        # weight of T2x1 grows like (k!)**5, so no t makes the sum converge.
+        inst = IdentityInstance(
+            "T2x1",
+            ParameterSet(a=(1.1, 1.3), b=(0.7, 0.9), c=(0.8, 1.5)),
+            ArgumentTriple(1e-4, 0, 0),
+            scalars={"t": 1e-3},
+        )
+        rep = check_identity(inst)
+        assert not rep.passed
+        assert "zero radius" in rep.reason
+        assert rep.lhs_diag is None
+
+    @pytest.mark.parametrize("t", [1.5, -1.0])
+    def test_zero_excess_weight_needs_unit_ratio(self, t):
+        # One upstairs entry against the 1/k!: w(k) = (a)_k t**k / k!.
+        inst = IdentityInstance(
+            "T2x1", ParameterSet(a=(1.1,)), ArgumentTriple(0.1, 0, 0),
+            scalars={"t": t},
+        )
+        rep = check_identity(inst)
+        assert not rep.passed
+        assert rep.lhs_diag is None
+        assert str(abs(t)) in rep.reason
+
+    def test_entire_weight_is_never_refused(self):
+        # (a)_k / (e)_k / k!: the outer sum converges at every t.
+        inst = IdentityInstance(
+            "T2x1", ParameterSet(a=(1.1,), e=(1.9,)), ArgumentTriple(0.1, 0, 0),
+            scalars={"t": 1.5},
+        )
+        assert check_identity(inst).passed
 
 
 class TestDenseInstances:
