@@ -70,11 +70,12 @@ from .numerics import (
 from .params import (
     FAMILIES,
     FAMILY_COMBO,
+    NUMERATOR_FAMILIES,
     ParameterSet,
     families_along,
-    numerator_bounds,
     order_excess,
     parse_number,
+    termination_bound,
 )
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -293,13 +294,19 @@ def eval_f3(
     that does not settle within the degree cap, or whose radius of
     convergence is zero, returns its partial sum with ``converged`` False.
     """
-    exact = classify_backend(ps.all_entries() + args.to_list()) != FLOAT64
+    exact = classify_backend(ps.representatives + (args.x1, args.x2, args.x3)) != FLOAT64
     # A zero argument keeps the walk off its direction, which needs no plan.
     plans = [
         None if x == 0 else _direction_plan(ps, d, x, exact) for d, x in enumerate(args)
     ]
-    bounds = numerator_bounds(ps)
-    cuts = [FAMILY_COMBO[name] + (b,) for name, b in bounds.items() if b is not None]
+    # Each upstairs family with a nonpositive-integer entry cuts the support.
+    cuts = []
+    for name in NUMERATOR_FAMILIES:
+        values = getattr(ps, name)
+        if values:
+            bound = termination_bound(values)
+            if bound is not None:
+                cuts.append(FAMILY_COMBO[name] + (bound,))
     top = _top_shell(plans, cuts, policy.max_total_degree)
     result = adaptive_sum(_shell_sums(plans, cuts, exact), policy, exact_bound=top)
     if top is None and result.converged:

@@ -101,7 +101,7 @@ class IdentityInstance:
 
     @property
     def backend(self) -> str:
-        values = self.ps.all_entries() + self.args.to_list()
+        values = [*self.ps.representatives, *self.args]
         values.extend(v for _, v in self.scalars)
         return classify_backend(values)
 

@@ -93,11 +93,12 @@ def is_nonpositive_integer(x: Number) -> bool:
 def exact_div(num: Number, den: Number) -> Number:
     """Divide without leaving the backend.
 
-    int/int must give a Fraction, not a float; float operands divide normally.
+    int/int must give a Fraction, not a float; any other pair divides with
+    ``/``, which keeps a Fraction operand exact and a float operand float.
     """
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    return Fraction(num) / Fraction(den)
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
 
 
 def number_pow(base: Number, exponent: Number) -> Number:
@@ -237,15 +238,15 @@ def adaptive_sum(
     total: Number = 0
     streak = 0
     used = 0
-    last_mag: Number = 0
+    last: Number = 0
     converged = terminated = exact
     for t_k in itertools.islice(terms, limit + 1):
         total = total + t_k
         used += 1
-        last_mag = abs(t_k)
+        last = t_k
         if exact:
             continue
-        if below_threshold(last_mag, abs(total), policy.tol):
+        if below_threshold(abs(t_k), abs(total), policy.tol):
             streak += 1
             if streak >= policy.stall_window:
                 converged = True
@@ -259,7 +260,7 @@ def adaptive_sum(
     return EvaluationResult(
         value=total,
         shells_used=used,
-        last_shell_magnitude=magnitude_as_float(last_mag),
+        last_shell_magnitude=magnitude_as_float(abs(last)),
         converged=converged,
         terminated_exactly=terminated,
     )

@@ -17,14 +17,16 @@ A :class:`ParameterSet` holds one tuple of scalars per family (any family may
 be empty).  All entries must live in a single arithmetic backend; see
 :mod:`f3sum.numerics`.  Parameter sets are frozen, so the resummation rules
 share them freely and build each rewritten set with one
-``dataclasses.replace`` call.
+``dataclasses.replace`` call.  A set classifies its backend once, when it is
+built, and keeps one representative entry of the kind that decided it, so a
+computation over the set plus a few more scalars classifies only those.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -101,18 +103,27 @@ class ParameterSet:
     h: Tuple[Number, ...] = ()
     hp: Tuple[Number, ...] = ()
     hpp: Tuple[Number, ...] = ()
+    # Set once in __post_init__: the backend of the entries, and the first
+    # float (float64) or Fraction (rational) entry, () for ints alone.  The
+    # entries never mix the two, so classify_backend over the representatives
+    # plus other scalars decides what it would over all entries plus them.
+    backend: str = field(init=False, repr=False, compare=False)
+    representatives: Tuple[Number, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        entries: List[Number] = []
         for name in FAMILIES:
             values = getattr(self, name)
             if not isinstance(values, tuple):
-                object.__setattr__(self, name, tuple(values))
+                values = tuple(values)
+                object.__setattr__(self, name, values)
+            entries.extend(values)
         # Raises BackendMismatchError on a float/Fraction mix.
-        self.backend
-
-    @property
-    def backend(self) -> str:
-        return classify_backend(self.all_entries())
+        backend = classify_backend(entries)
+        kind = float if backend == FLOAT64 else Fraction
+        first = next((v for v in entries if isinstance(v, kind)), None)
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "representatives", () if first is None else (first,))
 
     def family(self, name: str) -> Tuple[Number, ...]:
         if name not in FAMILIES:

@@ -4,8 +4,8 @@ Three row groups, always in this order:
 
 1. the six closed-form summation lemmas, each checked exactly (rational
    arithmetic) against its series summed by :func:`f3sum.f3core.eval_pfq`,
-   the triple series engine on the m1 axis; every lemma is one row of
-   ``_LEMMAS``,
+   the triple series engine on the m1 axis, once, when the case is drawn;
+   every lemma is one row of ``_LEMMAS``,
 2. the seventeen resummation rules, each on freshly generated instances,
 3. the three classical special cases, each run through the rule that covers
    it wholesale.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +47,7 @@ from .identities import (
     vandermonde_2f1,
     watson_4f3,
 )
-from .numerics import FLOAT64, RATIONAL, Number, TruncationPolicy
+from .numerics import FLOAT64, RATIONAL, EvaluationResult, Number, TruncationPolicy
 from .params import FAMILIES, FamilyIndex, ParameterSet, order_excess
 from .special import SPECIAL_KINDS, check_special_case, get_layout, special_params
 
@@ -67,7 +67,8 @@ CSV_COLUMNS: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class LemmaCase:
-    """One terminating hypergeometric sum with its closed-form value."""
+    """One terminating hypergeometric sum with its closed-form value, and
+    the series summed by ``eval_pfq`` when the case was drawn."""
 
     name: str
     order: int
@@ -75,6 +76,7 @@ class LemmaCase:
     lower: Tuple[Number, ...]
     argument: Number
     closed_value: Number
+    series: EvaluationResult = field(repr=False, compare=False)
 
 
 def _seventh(rng: random.Random, lo: int = -20, hi: int = 20) -> Fraction:
@@ -127,10 +129,9 @@ def lemma_case(name: str, seed: int, index: int) -> LemmaCase:
         drawn = [_seventh(rng) for _ in range(sevenths)]
         try:
             upper, lower, x = pattern(n, *drawn)
-            case = LemmaCase(name, n, upper, lower, x, closed_form(n, *drawn))
+            closed_value = closed_form(n, *drawn)
             # The series must be summable in full as well.
-            eval_pfq(upper, lower, x)
-            return case
+            return LemmaCase(name, n, upper, lower, x, closed_value, eval_pfq(upper, lower, x))
         except (F3Error, ZeroDivisionError):
             continue
     raise RuntimeError(f"could not generate a valid case for {name} (seed={seed}, index={index})")
@@ -347,7 +348,7 @@ class SuiteConfig:
 
 def _lemma_row(config: SuiteConfig, name: str, index: int) -> Dict[str, object]:
     case = lemma_case(name, config.seed, index)
-    series = eval_pfq(case.upper, case.lower, case.argument)
+    series = case.series
     exact_match = series.converged and series.value == case.closed_value
     ref = abs(case.closed_value)
     residual = float(abs(series.value - case.closed_value) / (ref if ref else 1))

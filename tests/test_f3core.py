@@ -1,5 +1,6 @@
 """Tests for the shell-ordered triple series engine and its 1-D pFq case."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -341,6 +342,41 @@ class TestEvalF3:
     def test_backend_mismatch_params_vs_args(self):
         with pytest.raises(BackendMismatchError):
             eval_f3(ParameterSet(a=(0.5,)), ArgumentTriple(Fraction(1, 2), 0, 0))
+
+
+def _built(build, other, **fields):
+    """``ParameterSet(**fields)``, built directly, or rebuilt by
+    dataclasses.replace from a set holding ``other``, a scalar of another
+    backend, whose stored classification must not carry over."""
+    if build == "direct":
+        return ParameterSet(**fields)
+    return dataclasses.replace(ParameterSet(e=(other,)), e=(), **fields)
+
+
+BUILDS = ("direct", "replaced")
+
+
+class TestStoredBackend:
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_fraction_params_reject_float_argument(self, build):
+        ps = _built(build, 0.5, a=(Fraction(1, 3),), h=(2,), cp=(-1,))
+        with pytest.raises(BackendMismatchError):
+            eval_f3(ps, ArgumentTriple(0, 0.25, 0))
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_float_params_reject_fraction_argument(self, build):
+        ps = _built(build, Fraction(1, 2), a=(0.5,), h=(2,), cp=(-1,))
+        with pytest.raises(BackendMismatchError):
+            eval_f3(ps, ArgumentTriple(0, 0, Fraction(1, 4)))
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_int_params_take_either_argument(self, build):
+        ps = _built(build, 0.5, a=(2,), b=(-3,), h=(5,))
+        floated = eval_f3(ps, ArgumentTriple(0.25, -0.5, 0.125))
+        exact = eval_f3(ps, ArgumentTriple(Fraction(1, 4), Fraction(-1, 2), Fraction(1, 8)))
+        assert isinstance(floated.value, float)
+        assert isinstance(exact.value, Fraction)
+        assert floated.value == pytest.approx(float(exact.value), rel=1e-14)
 
 
 class TestEvalPfq:

@@ -1,5 +1,6 @@
 """Tests for the resummation rule registry and the two-sided identity checker."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from f3sum import identities
 from f3sum import (
     ArgumentTriple,
+    BackendMismatchError,
     CheckReport,
+    FAMILIES,
     FamilyIndex,
     IDENTITY_IDS,
     IdentityInstance,
@@ -208,6 +211,48 @@ class TestInstanceValidation:
         )
         with pytest.raises(InvalidInstanceError, match="nonpositive integer"):
             validate_instance(bad)
+
+
+class TestStoredBackend:
+    # The rational instance's parameters, built directly, or rebuilt by
+    # dataclasses.replace from a float set, whose stored classification must
+    # not carry over.
+    @staticmethod
+    def rational(build):
+        inst = exact_instance("T2x1", 0, 0)
+        if build == "replaced":
+            fields = {name: getattr(inst.ps, name) for name in FAMILIES}
+            ps = dataclasses.replace(ParameterSet(e=(0.5,)), **fields)
+            assert ps == inst.ps
+            inst = dataclasses.replace(inst, ps=ps)
+        return inst
+
+    @pytest.mark.parametrize("build", ["direct", "replaced"])
+    def test_float_scalar_on_rational_instance_rejected(self, build):
+        inst = dataclasses.replace(self.rational(build), scalars={"t": 0.1})
+        with pytest.raises(BackendMismatchError):
+            validate_instance(inst)
+
+    @pytest.mark.parametrize("build", ["direct", "replaced"])
+    def test_float_argument_on_rational_instance_rejected(self, build):
+        inst = self.rational(build)
+        inst = dataclasses.replace(inst, args=ArgumentTriple(0.01, inst.args.x2, inst.args.x3))
+        with pytest.raises(BackendMismatchError):
+            validate_instance(inst)
+
+    @pytest.mark.parametrize("build", ["direct", "replaced"])
+    def test_int_parameters_take_either_backend(self, build):
+        fields = dict(b=(2,), c=(-1,), cp=(-1,), cpp=(-1,), h=(3,))
+        ps = ParameterSet(**fields)
+        if build == "replaced":
+            ps = dataclasses.replace(ParameterSet(e=(0.5,)), e=(), **fields)
+        floated = IdentityInstance("T2x1", ps, ArgumentTriple(0.01, 0.02, 0.03), scalars={"t": 0.1})
+        exact = IdentityInstance(
+            "T2x1", ps, ArgumentTriple(Fraction(1, 9), 0, 0), scalars={"t": Fraction(1, 7)}
+        )
+        assert validate_instance(floated) is validate_instance(exact)
+        assert check_identity(floated).passed
+        assert check_identity(exact).residual == 0.0
 
 
 class TestGuards:

@@ -104,9 +104,41 @@ class TestExactDiv:
     def test_fraction_over_int(self):
         assert exact_div(Fraction(1, 2), 4) == Fraction(1, 8)
 
+    @pytest.mark.parametrize("num, den", [(6, 3), (-6, 3), (0, 5), (7, -2), (1, 3)])
+    def test_int_over_int_is_a_fraction_even_when_integral(self, num, den):
+        q = exact_div(num, den)
+        assert type(q) is Fraction
+        assert q == Fraction(num, den)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            (Fraction(3, 7), 2), (Fraction(-3, 7), -6), (Fraction(4, 2), 2),
+            (2, Fraction(3, 7)), (-4, Fraction(-2, 9)), (0, Fraction(1, 3)),
+            (Fraction(3, 7), Fraction(9, 14)), (Fraction(5), Fraction(5)),
+            (1.5, 2), (3, 0.25), (1.5, 0.5), (-0.1, 3),
+        ],
+    )
+    def test_matches_division_of_fraction_copies(self, num, den):
+        # The result the function gave when it divided Fraction copies of
+        # two exact operands, and divided floats with /.
+        if isinstance(num, float) or isinstance(den, float):
+            expected = num / den
+        else:
+            expected = Fraction(num) / Fraction(den)
+        assert repr(exact_div(num, den)) == repr(expected)
+
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(1, 0)
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [(0, 0), (Fraction(1, 2), 0), (1, Fraction(0)), (1.0, 0), (1, 0.0), (0.5, 0.0)],
+    )
+    def test_zero_denominator_in_either_backend(self, num, den):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(num, den)
 
 
 class TestNumberPow:
@@ -252,6 +284,15 @@ class TestAdaptiveSum:
         assert res.converged
         assert res.value == Fraction(31, 16)
         assert res.shells_used == 5
+
+    def test_exact_bound_reports_the_last_term_magnitude(self):
+        # Under an exact bound only the last term's magnitude is reported.
+        terms = iter([Fraction(1), Fraction(-3, 2), Fraction(-1, 4), Fraction(5)])
+        res = adaptive_sum(terms, TruncationPolicy(), exact_bound=2)
+        assert res.value == Fraction(-3, 4)
+        assert res.shells_used == 3
+        assert res.last_shell_magnitude == 0.25
+        assert res.terminated_exactly
 
     def test_exact_bound_above_cap_falls_back(self):
         policy = TruncationPolicy(tol=1e-12, max_total_degree=10, stall_window=3)

@@ -1,10 +1,30 @@
-"""Tests for the suite's backend handling and its worker processes."""
+"""Tests for the suite's backend handling, its worker processes, and the
+fixed work each row pays."""
 
+import dataclasses
+import inspect
 import multiprocessing
+from fractions import Fraction
 
 import pytest
 
-from f3sum import FLOAT64, RATIONAL, InvalidInputError, SuiteConfig, run_suite, special_case_inputs
+from f3sum import (
+    FLOAT64,
+    RATIONAL,
+    ArgumentTriple,
+    InvalidInputError,
+    ParameterSet,
+    SuiteConfig,
+    eval_f3,
+    eval_pfq,
+    identities,
+    lemma_case,
+    params,
+    run_suite,
+    special_case_inputs,
+    suite,
+)
+from f3sum.suite import exact_instance
 
 UNKNOWN_BACKENDS = ("float", "Rational", "")
 
@@ -36,3 +56,88 @@ def test_special_case_inputs_reject_unknown_backend(backend):
     # Only "float64" used to pick float draws, so "float" returned sevenths.
     with pytest.raises(InvalidInputError, match=f"unknown backend {backend!r}"):
         special_case_inputs("fa3", 0, 0, backend)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_lemma_row_sums_its_series_once(monkeypatch):
+    # The draw already sums the series to validate it; the row reuses it.
+    calls = _count_calls(monkeypatch, suite, "eval_pfq")
+    summary, rows = run_suite(SuiteConfig(seed=0, instances=2, backend=RATIONAL))
+    assert summary["sections"]["lemmas"] == {"rows": 12, "passed": 12}
+    assert len(calls) == 12
+
+
+def test_lemma_case_carries_its_series_outside_repr_and_equality():
+    case = lemma_case("saalschutz_3f2", 3, 1)
+    assert case.series == eval_pfq(case.upper, case.lower, case.argument)
+    assert "series" not in repr(case)
+    assert case == dataclasses.replace(case, series=None)
+    assert hash(case) == hash(dataclasses.replace(case, series=None))
+
+
+def test_each_parameter_set_is_classified_once(monkeypatch):
+    # bench/tracing.py counts parameter sets by wrapping
+    # params.classify_backend, so each set built calls it exactly once, and
+    # nothing else does: not eval_f3, not the backend properties.
+    built = []
+    post_init = ParameterSet.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ParameterSet, "__post_init__", counted_post_init)
+    calls = _count_calls(monkeypatch, params, "classify_backend")
+
+    ps = ParameterSet(a=(Fraction(1, 3),), c=(-2,), h=(Fraction(9, 7),))
+    shifted = dataclasses.replace(ps, c=(-1,))
+    assert len(calls) == len(built) == 2
+    assert ps.backend == shifted.backend == RATIONAL
+    eval_f3(shifted, ArgumentTriple(Fraction(1, 4), 0, 0))
+    inst = exact_instance("T1a", 0, 0)
+    assert inst.backend == RATIONAL
+    assert len(calls) == len(built) == 3
+
+    run_suite(SuiteConfig(seed=1, instances=1, backend=RATIONAL))
+    run_suite(SuiteConfig(seed=1, instances=1))
+    assert len(calls) == len(built) > 3
+
+
+# Module attributes bench/tracing.py wraps or calls, with their parameters.
+LAYER_HOOKS = {
+    (identities, "eval_f3"): ["ps", "args", "policy"],
+    (identities, "weight_value"): ["shape", "inst", "k"],
+    (suite, "eval_pfq"): ["upper", "lower", "x", "policy"],
+    (suite, "lemma_case"): ["name", "seed", "index"],
+    (params, "classify_backend"): ["values"],
+    (params, "numerator_bounds"): ["ps"],
+    (params, "in_support"): ["bounds", "m1", "m2", "m3"],
+}
+
+
+@pytest.mark.parametrize("module, name", list(LAYER_HOOKS), ids=lambda v: getattr(v, "__name__", v))
+def test_layer_hooks_keep_their_names_and_signatures(module, name):
+    assert list(inspect.signature(getattr(module, name)).parameters) == LAYER_HOOKS[module, name]
+
+
+def test_suite_calls_through_the_layer_hooks(monkeypatch):
+    # A wrapper on each module attribute sees the calls of a rational pass.
+    counts = {
+        (module, name): _count_calls(monkeypatch, module, name)
+        for module, name in LAYER_HOOKS
+        if name not in ("numerator_bounds", "in_support")
+    }
+    run_suite(SuiteConfig(seed=0, instances=1, backend=RATIONAL))
+    assert all(counts.values()), {name: len(c) for (_, name), c in counts.items()}
