@@ -27,7 +27,14 @@ from typing import List, Optional
 
 from .errors import F3Error
 from .f3core import arguments_from_json, eval_f3
-from .identities import check_identity, derived_policy, instance_from_json, list_identities
+from .identities import (
+    DEFAULT_OUTER_CAP,
+    DEFAULT_RESIDUAL_TOL,
+    check_identity,
+    derived_policy,
+    instance_from_json,
+    list_identities,
+)
 from .numerics import FLOAT64, RATIONAL, TruncationPolicy
 from .params import format_number, parameter_set_from_json
 from .suite import SuiteConfig, run_suite, write_rows_csv
@@ -36,9 +43,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_IDENTITY_FAILED = 3
-
-DEFAULT_EVAL_TOL = 1e-12
-DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 class CliInputError(Exception):
@@ -53,9 +57,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_series_flags(sp: argparse.ArgumentParser, default_tol: float) -> None:
     sp.add_argument("--tol", type=float, default=default_tol,
                     help="tolerance (see module help for the per-command meaning)")
-    sp.add_argument("--max-degree", type=int, default=28, dest="max_degree",
-                    help="total-degree cap for series truncation")
-    sp.add_argument("--stall-window", type=int, default=3, dest="stall_window",
+    sp.add_argument("--max-degree", type=int, default=TruncationPolicy.max_total_degree,
+                    dest="max_degree", help="total-degree cap for series truncation")
+    sp.add_argument("--stall-window", type=int, default=TruncationPolicy.stall_window,
+                    dest="stall_window",
                     help="consecutive small shells required to accept convergence")
     sp.add_argument("--backend", choices=(FLOAT64, RATIONAL), default=FLOAT64,
                     help="arithmetic backend")
@@ -74,24 +79,24 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--args", dest="args_json",
                         help='arguments as a JSON list, e.g. "[0.1, 0.0, -0.2]"')
     p_eval.add_argument("--file", help='JSON file with {"params": ..., "args": ...}')
-    _add_series_flags(p_eval, DEFAULT_EVAL_TOL)
+    _add_series_flags(p_eval, TruncationPolicy.tol)
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="verify one rule instance")
     p_check.add_argument("--file", help="instance JSON file")
     p_check.add_argument("--json", dest="inline_json", help="instance JSON inline")
-    p_check.add_argument("--outer-cap", type=int, default=40, dest="outer_cap",
+    p_check.add_argument("--outer-cap", type=int, default=DEFAULT_OUTER_CAP, dest="outer_cap",
                          help="term cap for the outer resummation index")
     _add_series_flags(p_check, DEFAULT_RESIDUAL_TOL)
     p_check.set_defaults(func=cmd_check)
 
     p_suite = sub.add_parser("suite", help="run the seeded verification suite")
-    p_suite.add_argument("--seed", type=int, default=0)
-    p_suite.add_argument("--instances", type=int, default=5,
+    p_suite.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    p_suite.add_argument("--instances", type=int, default=SuiteConfig.instances,
                          help="instances per lemma, rule, and special case")
     p_suite.add_argument("--out", default="f3sum_suite.csv", help="CSV output path")
-    p_suite.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p_suite.add_argument("--outer-cap", type=int, default=40, dest="outer_cap")
+    p_suite.add_argument("--jobs", type=int, default=SuiteConfig.jobs, help="worker processes")
+    p_suite.add_argument("--outer-cap", type=int, default=DEFAULT_OUTER_CAP, dest="outer_cap")
     _add_series_flags(p_suite, DEFAULT_RESIDUAL_TOL)
     p_suite.set_defaults(func=cmd_suite)
 

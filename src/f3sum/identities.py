@@ -1,4 +1,4 @@
-"""Resummation rules for the triple series, plus classical summation lemmas.
+"""Resummation rules for the triple series.
 
 A rule rewrites one evaluation of the triple series as a weighted outer sum of
 shifted evaluations:
@@ -7,16 +7,18 @@ shifted evaluations:
         ==  prefactor * F(rewritten params; rewritten args)
 
 Every weight ``w(k)`` is a ratio of Pochhammer symbols times a geometric
-factor and an implicit 1/k!.  The left side is summed adaptively (exactly,
-when upstairs factors cut it off); each inner evaluation reuses the engine in
-:mod:`f3sum.f3core`.  ``check_identity`` runs both sides and reports the
-relative residual together with convergence diagnostics.
+factor and an implicit 1/k!.  A rule declares it as a :class:`WeightShape`;
+one reader turns the shape and an instance into concrete factors, and the
+weight's value, its cutoff, its divergence and its downstairs poles are all
+read from those factors.
 
-The closed-form lemmas at the bottom (binomial, Vandermonde, Saalschutz, and
-three terminating series with quadratic parameter patterns) return exact
-values for terminating input.  The suite and the tests check each against
-its series summed by :func:`f3sum.f3core.eval_pfq`, the triple series engine
-on the m1 axis; the lemmas share no algebra with it.
+Every rule comes from one of two frames: the binomial frame, whose weight is
+(v)_k base**k / k! on the rule's indexed entry v, and the direction frame,
+whose weight carries the families of one argument direction and whose left
+side raises that whole group by k.  The left side is summed adaptively
+(exactly, when upstairs factors cut it off); each inner evaluation reuses the
+engine in :mod:`f3sum.f3core`.  ``check_identity`` runs both sides and
+reports the relative residual together with convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
     F3Error,
     InvalidInputError,
     InvalidInstanceError,
-    PoleAtOneError,
 )
 from .numerics import (
     EvaluationResult,
@@ -60,6 +61,11 @@ from .params import (
     termination_bound,
 )
 from .f3core import ArgumentTriple, arguments_from_json, eval_f3
+
+# The defaults of a two-sided check, shared by every caller that forwards
+# its own: special cases, the suite and the command line.
+DEFAULT_RESIDUAL_TOL = 1e-8
+DEFAULT_OUTER_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,11 @@ class WeightShape:
     quadratic factor :func:`dd_weight`.  An implicit 1/k! always applies.
 
     The same factors decide where a non-terminating outer sum converges:
-    w(k) grows like (k!)**excess * base**k (:func:`weight_divergence`), and
-    an ``extra_lower`` value at a nonpositive integer puts the weight at a
-    pole, which :func:`validate_instance` rejects.
+    w(k) grows like (k!)**excess * base**k (:func:`weight_divergence`).
+    :func:`validate_instance` rejects an ``extra_lower`` value at a
+    nonpositive integer, a pole of the weight, and with ``double_step`` a
+    negative even d, where the quadratic factor stops matching its
+    Pochhammer-quotient form.
     """
 
     upper_families: Tuple[str, ...] = ()
@@ -142,36 +150,47 @@ class WeightShape:
     double_step: bool = False
 
 
-def _family_minus_index(inst: IdentityInstance, name: str) -> Tuple[Number, ...]:
-    values = inst.ps.family(name)
-    if inst.idx is not None and inst.idx.family == name:
-        j = inst.idx.i - 1
-        values = values[:j] + values[j + 1:]
-    return values
+def _weight_factors(
+    shape: WeightShape, inst: IdentityInstance
+) -> Tuple[list, list, Optional[Number], Number]:
+    """The weight's concrete factors on one instance, in multiplication order:
+    ``(upper, lower, d, base)`` with w(k) = prod (v)_k over each upper group,
+    times dd_weight(k, d) when d is not None, times base**k, over k! times
+    prod (v)_k over each lower group.
+
+    The upper groups are the upper families less the indexed entry, then
+    each extra upstairs scalar alone.  The lower groups are ``(name,
+    entries)`` pairs: each lower family, then each extra downstairs scalar
+    alone, named None."""
+    idx = inst.idx
+    upper = [
+        _splice(inst, inst.ps.family(name), ())
+        if idx is not None and idx.family == name
+        else inst.ps.family(name)
+        for name in shape.upper_families
+    ]
+    upper += [(v,) for v in shape.extra_upper(inst)]
+    lower = [(name, inst.ps.family(name)) for name in shape.lower_families]
+    lower += [(None, (v,)) for v in shape.extra_lower(inst)]
+    d = inst.scalar("d") if shape.double_step else None
+    return upper, lower, d, shape.power_base(inst)
 
 
 def weight_value(shape: WeightShape, inst: IdentityInstance, k: int) -> Number:
+    upper, lower, d, base = _weight_factors(shape, inst)
     num: Number = 1
-    for name in shape.upper_families:
-        num = num * pochhammer_product(_family_minus_index(inst, name), k)
-    for v in shape.extra_upper(inst):
-        num = num * pochhammer(v, k)
-    if shape.double_step:
-        num = num * dd_weight(k, inst.scalar("d"))
-    num = num * number_pow(shape.power_base(inst), k)
+    for values in upper:
+        num = num * pochhammer_product(values, k)
+    if d is not None:
+        num = num * dd_weight(k, d)
+    num = num * number_pow(base, k)
     den: Number = math.factorial(k)
-    for name in shape.lower_families:
-        p = pochhammer_product(inst.ps.family(name), k)
+    for name, values in lower:
+        p = pochhammer_product(values, k)
         if p == 0:
+            what = f"scalar {values[0]!r}" if name is None else f"family {name!r}"
             raise DenominatorPoleError(
-                f"downstairs family {name!r} vanishes in the outer weight at k={k}"
-            )
-        den = den * p
-    for v in shape.extra_lower(inst):
-        p = pochhammer(v, k)
-        if p == 0:
-            raise DenominatorPoleError(
-                f"downstairs scalar {v!r} vanishes in the outer weight at k={k}"
+                f"downstairs {what} vanishes in the outer weight at k={k}"
             )
         den = den * p
     return exact_div(num, den)
@@ -180,19 +199,11 @@ def weight_value(shape: WeightShape, inst: IdentityInstance, k: int) -> Number:
 def weight_bound(shape: WeightShape, inst: IdentityInstance) -> Optional[int]:
     """Largest k with possibly nonzero weight, or None when the outer sum
     never terminates."""
-    bounds: List[int] = []
-    for name in shape.upper_families:
-        b = termination_bound(_family_minus_index(inst, name))
-        if b is not None:
-            bounds.append(b)
-    for v in shape.extra_upper(inst):
-        if is_nonpositive_integer(v):
-            bounds.append(-int(v))
-    if shape.double_step:
-        d = inst.scalar("d")
-        if is_nonpositive_integer(d) and d != 0:
-            bounds.append(-int(d))
-    if shape.power_base(inst) == 0:
+    upper, _, d, base = _weight_factors(shape, inst)
+    bounds = [b for b in map(termination_bound, upper) if b is not None]
+    if d is not None and is_nonpositive_integer(d) and d != 0:
+        bounds.append(-int(d))
+    if base == 0:
         bounds.append(0)
     return min(bounds) if bounds else None
 
@@ -207,10 +218,9 @@ def weight_divergence(shape: WeightShape, inst: IdentityInstance) -> Optional[st
     ``extra_lower``, and the 1/k!).  A positive excess means radius zero;
     at zero excess the sum needs |base| < 1.
     """
-    up = sum(len(_family_minus_index(inst, name)) for name in shape.upper_families)
-    up += len(shape.extra_upper(inst)) + shape.double_step
-    down = sum(len(inst.ps.family(name)) for name in shape.lower_families)
-    down += len(shape.extra_lower(inst))
+    upper, lower, d, base = _weight_factors(shape, inst)
+    up = sum(map(len, upper)) + (d is not None)
+    down = sum(len(values) for _, values in lower)
     excess = up - down - 1
     if excess > 0:
         return (
@@ -218,7 +228,7 @@ def weight_divergence(shape: WeightShape, inst: IdentityInstance) -> Optional[st
             "radius of convergence"
         )
     if excess == 0:
-        ratio = abs(shape.power_base(inst))
+        ratio = abs(base)
         if ratio >= 1:
             return (
                 f"outer geometric ratio |power_base| = {magnitude_as_float(ratio)} "
@@ -334,129 +344,89 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidInstanceError(message)
 
 
-def _no_negative_even_d(inst: IdentityInstance) -> None:
-    d = inst.scalar("d")
-    _require(
-        not (is_integer_valued(d) and d < 0 and int(d) % 2 == 0),
-        "scalar d must not be a negative even integer: the quadratic weight "
-        "is only equivalent to its Pochhammer-quotient form away from those points",
+# ---------------------------------------------------------------------------
+# The two rule frames.
+
+
+def _binomial_rule(
+    rid: str,
+    family: str,
+    summary: str,
+    power_base: Callable[[IdentityInstance], Number],
+    **parts: Callable,
+) -> IdentityRule:
+    """Binomial frame: the weight is (v)_k base**k / k! on the indexed entry
+    v of ``family``, the series of (1 - base)**(-v), and the rule's one free
+    scalar is ``t``.  ``parts`` are the rule's left-side parameters and the
+    other :class:`IdentityRule` fields it sets."""
+    return IdentityRule(
+        identity_id=rid,
+        summary=summary,
+        indexed_family=family,
+        scalar_names=("t",),
+        weight=WeightShape(
+            extra_upper=lambda inst: (inst.indexed_value,), power_base=power_base
+        ),
+        **parts,
+    )
+
+
+def _direction_rule(
+    rid: str,
+    direction: int,
+    summary: str,
+    power_base: Callable[[IdentityInstance], Number],
+    family: Optional[str] = None,
+    scalar_names: Tuple[str, ...] = ("t",),
+    keep_indexed: bool = False,
+    extra_upper: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
+    extra_lower: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
+    double_step: bool = False,
+    **parts: Callable,
+) -> IdentityRule:
+    """Direction frame: the weight carries the families of
+    ``families_along(direction)`` (upstairs less the indexed entry), the
+    optional scalar factors and base**k, and the left side raises that whole
+    group by k, holding the indexed entry fixed with ``keep_indexed``.
+    ``parts`` are the other :class:`IdentityRule` fields the rule sets."""
+    upper, lower = families_along(direction)
+    return IdentityRule(
+        identity_id=rid,
+        summary=summary,
+        indexed_family=family,
+        scalar_names=scalar_names,
+        weight=WeightShape(upper, lower, extra_upper, extra_lower, power_base, double_step),
+        lhs_params=lambda inst, k: _shifted(inst, upper + lower, k, keep_indexed),
+        **parts,
     )
 
 
 # ---------------------------------------------------------------------------
-# Rule constructors.
+# Rule-specific arguments, rewrites and checks.
 
 
-def _entry_shift_rule(rid: str, family: str) -> IdentityRule:
-    """Single-entry shift resummation: the outer sum moves one entry of
-    ``family`` up by k against a geometric weight in t; the right side keeps
-    the parameters and rescales by 1/(1-t) the arguments of the directions
-    the family's Pochhammer order follows, times the matching binomial
-    prefactor."""
-    scaled_dirs = tuple(d for d, w in enumerate(FAMILY_COMBO[family]) if w)
+def _rescaled(dirs: Sequence[int]) -> Callable[[IdentityInstance], ArgumentTriple]:
+    """The arguments with each one of ``dirs`` divided by 1 - t."""
 
     def rhs_args(inst: IdentityInstance) -> ArgumentTriple:
         t = inst.scalar("t")
         xs = inst.args.to_list()
-        for d in scaled_dirs:
+        for d in dirs:
             xs[d] = exact_div(xs[d], 1 - t)
         return ArgumentTriple(*xs)
 
-    def validation(inst: IdentityInstance) -> None:
-        _require(inst.scalar("t") != 1, "t = 1 puts the rewritten arguments at a pole")
-
-    return IdentityRule(
-        identity_id=rid,
-        summary=(
-            f"shift one entry of family {family!r} by a geometric outer sum; "
-            f"arguments {tuple(d + 1 for d in scaled_dirs)} rescale by 1/(1-t)"
-        ),
-        indexed_family=family,
-        scalar_names=("t",),
-        weight=WeightShape(
-            extra_upper=lambda inst: (inst.indexed_value,),
-            power_base=lambda inst: inst.scalar("t"),
-        ),
-        lhs_params=lambda inst, k: _rewritten(inst, (inst.indexed_value + k,)),
-        rhs_prefactor=lambda inst: number_pow(1 - inst.scalar("t"), -inst.indexed_value),
-        rhs_args=rhs_args,
-        extra_validation=validation,
-    )
+    return rhs_args
 
 
-def _argument_shift_rule(rid: str, direction: int) -> IdentityRule:
-    """Argument translation: summing k-shifts of every family coupled to one
-    argument direction, weighted by the direction's own Pochhammer ratio and
-    t**k, translates that argument by t."""
-    upper, lower = families_along(direction)
+def _translated(direction: int) -> Callable[[IdentityInstance], ArgumentTriple]:
+    """The arguments with the one of ``direction`` moved by t."""
 
     def rhs_args(inst: IdentityInstance) -> ArgumentTriple:
         xs = inst.args.to_list()
         xs[direction] = xs[direction] + inst.scalar("t")
         return ArgumentTriple(*xs)
 
-    return IdentityRule(
-        identity_id=rid,
-        summary=f"translate argument x{direction + 1} by t through a full shift "
-        f"of its coupled families",
-        indexed_family=None,
-        scalar_names=("t",),
-        weight=WeightShape(
-            upper_families=upper,
-            lower_families=lower,
-            power_base=lambda inst: inst.scalar("t"),
-        ),
-        lhs_params=lambda inst, k: _shifted(inst, upper + lower, k),
-        rhs_args=rhs_args,
-    )
-
-
-def _x1_series_rule(
-    rid: str,
-    family: str,
-    summary: str,
-    rhs_params: Callable[[IdentityInstance], ParameterSet],
-    extra_upper: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
-    extra_lower: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
-    alternating: bool = False,
-    double_step: bool = False,
-    scalar_names: Tuple[str, ...] = (),
-    extra_validation: Optional[Callable[[IdentityInstance], None]] = None,
-) -> IdentityRule:
-    """Common frame for the rules whose outer variable is x1 itself: weight
-    carries the x1-coupled upstairs families (minus the indexed entry),
-    optional scalar factors, and (+-x1)**k over the x1-coupled downstairs
-    families; the left side shifts the x1-coupled group.
-
-    The sign and the shift go together: an ``alternating`` rule weights by
-    (-x1)**k and shifts the whole group, indexed entry included; the others
-    weight by x1**k and hold the indexed entry fixed."""
-
-    upper, lower = families_along(0)
-
-    def power_base(inst: IdentityInstance) -> Number:
-        return -inst.args.x1 if alternating else inst.args.x1
-
-    return IdentityRule(
-        identity_id=rid,
-        summary=summary,
-        indexed_family=family,
-        scalar_names=scalar_names,
-        weight=WeightShape(
-            upper_families=upper,
-            lower_families=lower,
-            extra_upper=extra_upper,
-            extra_lower=extra_lower,
-            power_base=power_base,
-            double_step=double_step,
-        ),
-        lhs_params=lambda inst, k: _shifted(inst, upper + lower, k, keep_indexed=not alternating),
-        rhs_params=rhs_params,
-        extra_validation=extra_validation,
-    )
-
-
-# -- right-side rewrites for the x1-series rules ----------------------------
+    return rhs_args
 
 
 def _t3a_rhs(inst: IdentityInstance) -> ParameterSet:
@@ -506,18 +476,11 @@ def _t8c_rhs(inst: IdentityInstance) -> ParameterSet:
     return _rewritten(inst, (), c=(_half(v), v + d), h=(1 + d + _half(v),))
 
 
-# -- rules that rescale x1 while removing the indexed entry -----------------
-
-
-def _scaled_x1_args(inst: IdentityInstance, scale_num: Number, scale_den: Number) -> ArgumentTriple:
+def _rescaled_x1(inst: IdentityInstance, den: Number) -> ArgumentTriple:
+    """The arguments with x1 replaced by x1 (1+t)/den, or by 0 at x1 = 0."""
     x1 = inst.args.x1
-    new_x1: Number = 0 if x1 == 0 else x1 * exact_div(scale_num, scale_den)
+    new_x1: Number = 0 if x1 == 0 else x1 * exact_div(1 + inst.scalar("t"), den)
     return ArgumentTriple(new_x1, inst.args.x2, inst.args.x3)
-
-
-def _t9c_lhs_args(inst: IdentityInstance) -> ArgumentTriple:
-    t = inst.scalar("t")
-    return _scaled_x1_args(inst, 1 + t, t)
 
 
 def _t9c_validation(inst: IdentityInstance) -> None:
@@ -527,11 +490,6 @@ def _t9c_validation(inst: IdentityInstance) -> None:
         t != 0 or inst.args.x1 == 0,
         "t = 0 needs x1 = 0: the rescaled first argument is x1 (1+t)/t",
     )
-
-
-def _t10c_lhs_args(inst: IdentityInstance) -> ArgumentTriple:
-    t = inst.scalar("t")
-    return _scaled_x1_args(inst, 1 + t, t + inst.args.x1)
 
 
 def _t10c_validation(inst: IdentityInstance) -> None:
@@ -559,118 +517,120 @@ def _register(rule: IdentityRule) -> None:
     RULES[rule.identity_id] = rule
 
 
-_register(_entry_shift_rule("T1a", "a"))
-_register(_entry_shift_rule("T1b", "b"))
-_register(_entry_shift_rule("T1c", "c"))
+# Single-entry shifts: the outer sum moves one entry up by k against t**k;
+# the right side keeps the parameters and rescales by 1/(1-t) the arguments
+# of the directions the family's Pochhammer order follows.
+for _family in ("a", "b", "c"):
+    _dirs = tuple(d for d, w in enumerate(FAMILY_COMBO[_family]) if w)
+    _register(_binomial_rule(
+        f"T1{_family}", _family,
+        f"shift one entry of family {_family!r} by a geometric outer sum; "
+        f"arguments {tuple(d + 1 for d in _dirs)} rescale by 1/(1-t)",
+        lambda inst: inst.scalar("t"),
+        lhs_params=lambda inst, k: _rewritten(inst, (inst.indexed_value + k,)),
+        rhs_prefactor=lambda inst: number_pow(1 - inst.scalar("t"), -inst.indexed_value),
+        rhs_args=_rescaled(_dirs),
+        extra_validation=lambda inst: _require(
+            inst.scalar("t") != 1, "t = 1 puts the rewritten arguments at a pole"
+        ),
+    ))
 
-_register(_argument_shift_rule("T2x1", 0))
-_register(_argument_shift_rule("T2x2", 1))
-_register(_argument_shift_rule("T2x3", 2))
+# Argument translations: a full k-shift of every family coupled to one
+# direction, weighted by t**k, translates that argument by t.
+for _direction in range(3):
+    _register(_direction_rule(
+        f"T2x{_direction + 1}", _direction,
+        f"translate argument x{_direction + 1} by t through a full shift "
+        "of its coupled families",
+        lambda inst: inst.scalar("t"),
+        rhs_args=_translated(_direction),
+    ))
 
-_register(_x1_series_rule(
-    "T3a", "a",
+# The x1-series rules: the outer variable is x1 itself.  The sign and the
+# shift go together: an alternating rule weights by (-x1)**k and shifts the
+# whole x1 group, indexed entry included; the others weight by x1**k and
+# hold the indexed entry fixed.
+_register(_direction_rule(
+    "T3a", 0,
     "raise one a-entry by r: an r-weighted x1-series adds balancing entries to bp and gp",
+    lambda inst: inst.args.x1, "a", ("r",), keep_indexed=True,
     extra_upper=lambda inst: (inst.scalar("r"),),
     rhs_params=_t3a_rhs,
-    scalar_names=("r",),
 ))
-_register(_x1_series_rule(
-    "T3c", "c",
+_register(_direction_rule(
+    "T3c", 0,
     "raise one c-entry by r through an r-weighted x1-series",
+    lambda inst: inst.args.x1, "c", ("r",), keep_indexed=True,
     extra_upper=lambda inst: (inst.scalar("r"),),
     rhs_params=_t3c_rhs,
-    scalar_names=("r",),
 ))
-_register(_x1_series_rule(
-    "T4a", "a",
+_register(_direction_rule(
+    "T4a", 0,
     "alternating d-weighted x1-series turns one a-entry into new c and h entries",
+    lambda inst: -inst.args.x1, "a", ("d",),
     extra_upper=lambda inst: (inst.scalar("d"),),
     rhs_params=_t4a_rhs,
-    alternating=True,
-    scalar_names=("d",),
 ))
-_register(_x1_series_rule(
-    "T4c", "c",
+_register(_direction_rule(
+    "T4c", 0,
     "lower one c-entry by d through an alternating x1-series",
+    lambda inst: -inst.args.x1, "c", ("d",),
     extra_upper=lambda inst: (inst.scalar("d"),),
     rhs_params=_t4c_rhs,
-    alternating=True,
-    scalar_names=("d",),
 ))
-_register(_x1_series_rule(
-    "T5c", "c",
+_register(_direction_rule(
+    "T5c", 0,
     "split one c-entry into offsets by r and by d, with a balancing h-entry",
+    lambda inst: inst.args.x1, "c", ("d", "r"), keep_indexed=True,
     extra_upper=lambda inst: (inst.scalar("d"), inst.scalar("r")),
     extra_lower=lambda inst: (inst.scalar("d") + inst.scalar("r") + inst.indexed_value,),
     rhs_params=_t5c_rhs,
-    scalar_names=("d", "r"),
 ))
-_register(_x1_series_rule(
-    "T6a", "a",
+_register(_direction_rule(
+    "T6a", 0,
     "quadratic-weight x1-series turns one a-entry into two c and two h entries",
+    lambda inst: -inst.args.x1, "a", ("d",), double_step=True,
     rhs_params=_t6a_rhs,
-    alternating=True,
-    double_step=True,
-    scalar_names=("d",),
-    extra_validation=_no_negative_even_d,
 ))
-_register(_x1_series_rule(
-    "T6c", "c",
+_register(_direction_rule(
+    "T6c", 0,
     "quadratic-weight x1-series replaces one c-entry by two c and one h entries",
+    lambda inst: -inst.args.x1, "c", ("d",), double_step=True,
     rhs_params=_t6c_rhs,
-    alternating=True,
-    double_step=True,
-    scalar_names=("d",),
-    extra_validation=_no_negative_even_d,
 ))
-_register(_x1_series_rule(
-    "T7c", "c",
+_register(_direction_rule(
+    "T7c", 0,
     "halving rewrite of one c-entry into three c and two h entries",
+    lambda inst: inst.args.x1, "c", ("r",), keep_indexed=True,
     extra_upper=lambda inst: (inst.scalar("r"), -_half(inst.indexed_value)),
     extra_lower=lambda inst: (1 + inst.scalar("r") + _half(inst.indexed_value),),
     rhs_params=_t7c_rhs,
-    scalar_names=("r",),
 ))
-
-_register(_x1_series_rule(
-    "T8c", "c",
+_register(_direction_rule(
+    "T8c", 0,
     "halving rewrite with quadratic weight: one c-entry becomes two c and one h entries",
+    lambda inst: inst.args.x1, "c", ("d",), keep_indexed=True, double_step=True,
     extra_upper=lambda inst: (-_half(inst.indexed_value),),
     extra_lower=lambda inst: (1 + inst.scalar("d") + _half(inst.indexed_value),),
     rhs_params=_t8c_rhs,
-    double_step=True,
-    scalar_names=("d",),
-    extra_validation=_no_negative_even_d,
 ))
 
-_register(IdentityRule(
-    identity_id="T9c",
-    summary="remove one c-entry by a binomial outer sum against a geometric rescale of x1",
-    indexed_family="c",
-    scalar_names=("t",),
-    weight=WeightShape(
-        extra_upper=lambda inst: (inst.indexed_value,),
-        power_base=lambda inst: -inst.scalar("t"),
-    ),
+# Removing one c-entry: a binomial outer sum pushes -k into c and rescales x1.
+_register(_binomial_rule(
+    "T9c", "c",
+    "remove one c-entry by a binomial outer sum against a geometric rescale of x1",
+    lambda inst: -inst.scalar("t"),
     lhs_params=_drop_and_push_negative_k,
-    lhs_args=_t9c_lhs_args,
+    lhs_args=lambda inst: _rescaled_x1(inst, inst.scalar("t")),
     rhs_prefactor=lambda inst: number_pow(1 + inst.scalar("t"), -inst.indexed_value),
     extra_validation=_t9c_validation,
 ))
-
-_register(IdentityRule(
-    identity_id="T10c",
-    summary="remove one c-entry by a binomial outer sum against a Moebius rescale of x1",
-    indexed_family="c",
-    scalar_names=("t",),
-    weight=WeightShape(
-        extra_upper=lambda inst: (inst.indexed_value,),
-        power_base=lambda inst: exact_div(
-            inst.scalar("t") + inst.args.x1, inst.args.x1 - 1
-        ),
-    ),
+_register(_binomial_rule(
+    "T10c", "c",
+    "remove one c-entry by a binomial outer sum against a Moebius rescale of x1",
+    lambda inst: exact_div(inst.scalar("t") + inst.args.x1, inst.args.x1 - 1),
     lhs_params=_drop_and_push_negative_k,
-    lhs_args=_t10c_lhs_args,
+    lhs_args=lambda inst: _rescaled_x1(inst, inst.scalar("t") + inst.args.x1),
     rhs_prefactor=lambda inst: number_pow(
         exact_div(1 - inst.args.x1, 1 + inst.scalar("t")), inst.indexed_value
     ),
@@ -728,17 +688,26 @@ def validate_instance(inst: IdentityInstance) -> IdentityRule:
         inst.idx.check_against(inst.ps)
     if rule.extra_validation is not None:
         rule.extra_validation(inst)
-    for v in rule.weight.extra_lower(inst):
-        _require(
-            not is_nonpositive_integer(v),
-            f"downstairs weight factor {format_number(v)} is a nonpositive "
-            "integer, placing the outer weight at a pole",
-        )
+    _, lower, d, _ = _weight_factors(rule.weight, inst)
+    _require(
+        d is None or not (is_integer_valued(d) and d < 0 and int(d) % 2 == 0),
+        "scalar d must not be a negative even integer: the quadratic weight "
+        "is only equivalent to its Pochhammer-quotient form away from those points",
+    )
+    for name, values in lower:
+        if name is None:
+            _require(
+                not is_nonpositive_integer(values[0]),
+                f"downstairs weight factor {format_number(values[0])} is a nonpositive "
+                "integer, placing the outer weight at a pole",
+            )
     return rule
 
 
 def derived_policy(
-    residual_tol: float, max_total_degree: int = 28, stall_window: int = 3
+    residual_tol: float,
+    max_total_degree: int = TruncationPolicy.max_total_degree,
+    stall_window: int = TruncationPolicy.stall_window,
 ) -> TruncationPolicy:
     """Series truncation for a two-sided check: four orders of magnitude
     below the residual tolerance, floored at 1e-15."""
@@ -787,17 +756,6 @@ def _lhs_value(
     return outer.value, diag
 
 
-def _rhs_value(
-    rule: IdentityRule,
-    inst: IdentityInstance,
-    policy: TruncationPolicy,
-) -> Tuple[Number, EvaluationResult]:
-    """Prefactor times the single rewritten evaluation."""
-    pref = rule.rhs_prefactor(inst)
-    res = eval_f3(rule.rhs_params(inst), rule.rhs_args(inst), policy)
-    return pref * res.value, res
-
-
 def _relative_residual(lhs: Number, rhs: Number) -> Number:
     diff = abs(lhs - rhs)
     ref = abs(rhs)
@@ -811,8 +769,8 @@ def _relative_residual(lhs: Number, rhs: Number) -> Number:
 def check_identity(
     inst: IdentityInstance,
     policy: Optional[TruncationPolicy] = None,
-    residual_tol: float = 1e-8,
-    outer_cap: int = 40,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    outer_cap: int = DEFAULT_OUTER_CAP,
 ) -> CheckReport:
     """Evaluate both sides of one rule and compare.
 
@@ -833,11 +791,7 @@ def check_identity(
         raise InvalidInputError(f"residual_tol must be >= 0, got {residual_tol!r}")
     if policy is None:
         policy = derived_policy(residual_tol)
-    outer_policy = TruncationPolicy(
-        tol=policy.tol,
-        max_total_degree=outer_cap,
-        stall_window=policy.stall_window,
-    )
+    outer_policy = replace(policy, max_total_degree=outer_cap)
     bound = weight_bound(rule.weight, inst)
     if bound is None:
         reason = weight_divergence(rule.weight, inst)
@@ -848,7 +802,9 @@ def check_identity(
 
     try:
         lhs, lhs_diag = _lhs_value(rule, inst, policy, outer_policy, bound)
-        rhs, rhs_diag = _rhs_value(rule, inst, policy)
+        prefactor = rule.rhs_prefactor(inst)
+        rhs_diag = eval_f3(rule.rhs_params(inst), rule.rhs_args(inst), policy)
+        rhs = prefactor * rhs_diag.value
     except (F3Error, ZeroDivisionError, OverflowError) as exc:
         return CheckReport(
             identity_id=inst.identity_id,
@@ -924,91 +880,3 @@ def instance_to_json(inst: IdentityInstance) -> Dict[str, object]:
     if inst.scalars:
         out["scalars"] = {name: format_number(v) for name, v in inst.scalars}
     return out
-
-
-# ---------------------------------------------------------------------------
-# Closed-form summation lemmas.
-
-
-def _ratio(num: Number, den: Number, what: str) -> Number:
-    if den == 0:
-        raise DenominatorPoleError(f"closed form for {what} hits a zero denominator")
-    return exact_div(num, den)
-
-
-def _check_order(n: int) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise InvalidInputError(f"terminating order must be a non-negative int, got {n!r}")
-
-
-def binomial_1f0(a: Number, t: Number) -> Number:
-    """1F0(a;;t) = (1-t)**(-a).
-
-    Exact in the rational backend only for integer a; raises PoleAtOneError
-    at t = 1 and InexactPowerError when an exact non-integer power is asked
-    for.
-    """
-    if t == 1:
-        raise PoleAtOneError("1F0 diverges at t = 1")
-    return number_pow(1 - t, -a)
-
-
-def vandermonde_2f1(n: int, a: Number, c: Number) -> Number:
-    """2F1(-n, a; c; 1) = (c-a)_n / (c)_n."""
-    _check_order(n)
-    return _ratio(pochhammer(c - a, n), pochhammer(c, n), "2F1(-n,a;c;1)")
-
-
-def saalschutz_3f2(n: int, a: Number, b: Number, c: Number) -> Number:
-    """3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)."""
-    _check_order(n)
-    return _ratio(
-        pochhammer(c - a, n) * pochhammer(c - b, n),
-        pochhammer(c, n) * pochhammer(c - a - b, n),
-        "balanced 3F2",
-    )
-
-
-def nearly_poised_3f2(n: int, a: Number, b: Number) -> Number:
-    """3F2(-n, a, 1+a/2; a/2, b; 1) = (b-a-1-n) (b-a)_(n-1) / (b)_n.
-
-    At n = 0 the series is 1; the closed form needs b - a != 1 there.
-    """
-    _check_order(n)
-    if n == 0:
-        if b - a - 1 == 0:
-            raise DenominatorPoleError(
-                "closed form for the nearly-poised 3F2 is undefined at b - a = 1"
-            )
-        return 1
-    return _ratio(
-        (b - a - 1 - n) * pochhammer(b - a, n - 1),
-        pochhammer(b, n),
-        "nearly-poised 3F2",
-    )
-
-
-def twob_balanced_3f2(n: int, a: Number, b: Number) -> Number:
-    """3F2(-n, a, b; 1+a-b, 1+2b-n; 1)
-       = (a-2b)_n (1+a/2-b)_n (-b)_n / ((1+a-b)_n (a/2-b)_n (-2b)_n)."""
-    _check_order(n)
-    return _ratio(
-        pochhammer(a - 2 * b, n)
-        * pochhammer(1 + _half(a) - b, n)
-        * pochhammer(-b, n),
-        pochhammer(1 + a - b, n)
-        * pochhammer(_half(a) - b, n)
-        * pochhammer(-2 * b, n),
-        "two-b balanced 3F2",
-    )
-
-
-def watson_4f3(n: int, a: Number, b: Number) -> Number:
-    """4F3(-n, a, 1+a/2, b; a/2, 1+a-b, 1+2b-n; 1)
-       = (a-2b)_n (-b)_n / ((1+a-b)_n (-2b)_n)."""
-    _check_order(n)
-    return _ratio(
-        pochhammer(a - 2 * b, n) * pochhammer(-b, n),
-        pochhammer(1 + a - b, n) * pochhammer(-2 * b, n),
-        "Watson-type 4F3",
-    )

@@ -160,8 +160,9 @@ class TruncationPolicy:
     stall_window: int = 3
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0):
-            raise InvalidInputError(f"tol must be positive, got {self.tol!r}")
+        # An infinite tol has no exact threshold to compare rational terms with.
+        if not (0 < self.tol < math.inf):
+            raise InvalidInputError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_total_degree < 1:
             raise InvalidInputError("max_total_degree must be >= 1")
         if self.stall_window < 1:

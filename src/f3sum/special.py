@@ -16,7 +16,14 @@ from typing import Dict, Optional, Tuple
 
 from .errors import InvalidInputError, InvalidInstanceError
 from .f3core import ArgumentTriple
-from .identities import CheckReport, IdentityInstance, check_identity, get_rule
+from .identities import (
+    DEFAULT_OUTER_CAP,
+    DEFAULT_RESIDUAL_TOL,
+    CheckReport,
+    IdentityInstance,
+    check_identity,
+    get_rule,
+)
 from .numerics import Number, TruncationPolicy
 from .params import FamilyIndex, ParameterSet
 
@@ -101,8 +108,8 @@ def check_special_case(
     args: ArgumentTriple,
     t: Number,
     policy: Optional[TruncationPolicy] = None,
-    residual_tol: float = 1e-8,
-    outer_cap: int = 40,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    outer_cap: int = DEFAULT_OUTER_CAP,
 ) -> CheckReport:
     inst = special_case_instance(kind, ps, args, t)
     return check_identity(inst, policy=policy, residual_tol=residual_tol, outer_cap=outer_cap)

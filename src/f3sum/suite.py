@@ -2,10 +2,12 @@
 
 Three row groups, always in this order:
 
-1. the six closed-form summation lemmas, each checked exactly (rational
-   arithmetic) against its series summed by :func:`f3sum.f3core.eval_pfq`,
-   the triple series engine on the m1 axis, once, when the case is drawn;
-   every lemma is one row of ``_LEMMAS``,
+1. the six closed-form summation lemmas (binomial, Vandermonde, Saalschutz,
+   and three terminating series with quadratic parameter patterns), defined
+   here beside ``_LEMMAS``, which has one row per lemma.  Each is checked
+   exactly (rational arithmetic) against its series summed by
+   :func:`f3sum.f3core.eval_pfq`, the triple series engine on the m1 axis,
+   once, when the case is drawn; the closed forms share no algebra with it,
 2. the seventeen resummation rules, each on freshly generated instances,
 3. the three classical special cases, each run through the rule that covers
    it wholesale.
@@ -33,21 +35,32 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import F3Error, InvalidInputError, InvalidInstanceError
+from .errors import (
+    DenominatorPoleError,
+    F3Error,
+    InvalidInputError,
+    InvalidInstanceError,
+    PoleAtOneError,
+)
 from .f3core import ArgumentTriple, eval_pfq
 from .identities import (
+    DEFAULT_OUTER_CAP,
+    DEFAULT_RESIDUAL_TOL,
     IDENTITY_IDS,
     IdentityInstance,
-    binomial_1f0,
     check_identity,
     get_rule,
-    nearly_poised_3f2,
-    saalschutz_3f2,
-    twob_balanced_3f2,
-    vandermonde_2f1,
-    watson_4f3,
 )
-from .numerics import FLOAT64, RATIONAL, EvaluationResult, Number, TruncationPolicy
+from .numerics import (
+    FLOAT64,
+    RATIONAL,
+    EvaluationResult,
+    Number,
+    TruncationPolicy,
+    exact_div,
+    number_pow,
+    pochhammer,
+)
 from .params import FAMILIES, FamilyIndex, ParameterSet, order_excess
 from .special import SPECIAL_KINDS, check_special_case, get_layout, special_params
 
@@ -62,7 +75,92 @@ CSV_COLUMNS: Tuple[str, ...] = (
 
 
 # ---------------------------------------------------------------------------
-# Lemma cases.
+# Closed-form summation lemmas and their cases.
+
+
+def _ratio(num: Number, den: Number, what: str) -> Number:
+    if den == 0:
+        raise DenominatorPoleError(f"closed form for {what} hits a zero denominator")
+    return exact_div(num, den)
+
+
+def _check_order(n: int) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise InvalidInputError(f"terminating order must be a non-negative int, got {n!r}")
+
+
+def binomial_1f0(a: Number, t: Number) -> Number:
+    """1F0(a;;t) = (1-t)**(-a).
+
+    Exact in the rational backend only for integer a; raises PoleAtOneError
+    at t = 1 and InexactPowerError when an exact non-integer power is asked
+    for.
+    """
+    if t == 1:
+        raise PoleAtOneError("1F0 diverges at t = 1")
+    return number_pow(1 - t, -a)
+
+
+def vandermonde_2f1(n: int, a: Number, c: Number) -> Number:
+    """2F1(-n, a; c; 1) = (c-a)_n / (c)_n."""
+    _check_order(n)
+    return _ratio(pochhammer(c - a, n), pochhammer(c, n), "2F1(-n,a;c;1)")
+
+
+def saalschutz_3f2(n: int, a: Number, b: Number, c: Number) -> Number:
+    """3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)."""
+    _check_order(n)
+    return _ratio(
+        pochhammer(c - a, n) * pochhammer(c - b, n),
+        pochhammer(c, n) * pochhammer(c - a - b, n),
+        "balanced 3F2",
+    )
+
+
+def nearly_poised_3f2(n: int, a: Number, b: Number) -> Number:
+    """3F2(-n, a, 1+a/2; a/2, b; 1) = (b-a-1-n) (b-a)_(n-1) / (b)_n.
+
+    At n = 0 the series is 1; the closed form needs b - a != 1 there.
+    """
+    _check_order(n)
+    if n == 0:
+        if b - a - 1 == 0:
+            raise DenominatorPoleError(
+                "closed form for the nearly-poised 3F2 is undefined at b - a = 1"
+            )
+        return 1
+    return _ratio(
+        (b - a - 1 - n) * pochhammer(b - a, n - 1),
+        pochhammer(b, n),
+        "nearly-poised 3F2",
+    )
+
+
+def twob_balanced_3f2(n: int, a: Number, b: Number) -> Number:
+    """3F2(-n, a, b; 1+a-b, 1+2b-n; 1)
+       = (a-2b)_n (1+a/2-b)_n (-b)_n / ((1+a-b)_n (a/2-b)_n (-2b)_n)."""
+    _check_order(n)
+    half_a = exact_div(a, 2)
+    return _ratio(
+        pochhammer(a - 2 * b, n)
+        * pochhammer(1 + half_a - b, n)
+        * pochhammer(-b, n),
+        pochhammer(1 + a - b, n)
+        * pochhammer(half_a - b, n)
+        * pochhammer(-2 * b, n),
+        "two-b balanced 3F2",
+    )
+
+
+def watson_4f3(n: int, a: Number, b: Number) -> Number:
+    """4F3(-n, a, 1+a/2, b; a/2, 1+a-b, 1+2b-n; 1)
+       = (a-2b)_n (-b)_n / ((1+a-b)_n (-2b)_n)."""
+    _check_order(n)
+    return _ratio(
+        pochhammer(a - 2 * b, n) * pochhammer(-b, n),
+        pochhammer(1 + a - b, n) * pochhammer(-2 * b, n),
+        "Watson-type 4F3",
+    )
 
 
 @dataclass(frozen=True)
@@ -340,8 +438,8 @@ class SuiteConfig:
     seed: int = 0
     instances: int = 5
     backend: str = FLOAT64
-    residual_tol: float = 1e-8
-    outer_cap: int = 40
+    residual_tol: float = DEFAULT_RESIDUAL_TOL
+    outer_cap: int = DEFAULT_OUTER_CAP
     jobs: int = 1
     policy: Optional[TruncationPolicy] = None
 
@@ -420,8 +518,9 @@ def _row(task: tuple) -> Dict[str, object]:
 def run_suite(config: SuiteConfig) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
     """Run all row groups; returns (summary, rows).
 
-    With ``jobs > 1`` the rows run in that many forked worker processes,
-    created for this call and joined before it returns.  Row order, and so
+    With ``jobs > 1`` the rows run in that many forked worker processes, but
+    never more than there are rows, created for this call and joined before
+    it returns.  Row order, and so
     the CSV bytes, are the same at any worker count: tasks are enumerated up
     front as picklable (section, row function, config, name, index) tuples and
     results collected by position.
@@ -440,7 +539,9 @@ def run_suite(config: SuiteConfig) -> Tuple[Dict[str, object], List[Dict[str, ob
         # Fork, named because Python 3.14 drops it as the Linux default:
         # workers inherit the imported package and its warm caches.
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=context) as pool:
+        # The pool starts all its workers at once, so cap them at the rows.
+        workers = min(config.jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             results = list(pool.map(_row, tasks))
     else:
         results = [_row(task) for task in tasks]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via subprocess."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 import f3sum
-from f3sum import cli
+from f3sum import SuiteConfig, TruncationPolicy, check_identity, cli
+from f3sum.identities import derived_policy
 
 CLI = [sys.executable, "-m", "f3sum.cli"]
 
@@ -205,10 +207,19 @@ class TestInputErrors:
          "error: not a finite number: inf"),
         (["check", "--tol", "-1", "--json", _instance_json()],
          "error: residual_tol must be >= 0, got -1.0"),
+        # An infinite tolerance used to reach the exact stall test and die
+        # with an OverflowError traceback (eval) or a failed report (check).
+        (["eval", "--params", '{"a": [1.5]}', "--args", "[0.1, 0, 0]", "--tol", "inf"],
+         "error: tol must be positive and finite, got inf"),
+        (["eval", "--params", '{"a": [1.5]}', "--args", "[0.1, 0, 0]", "--tol", "1e400"],
+         "error: tol must be positive and finite, got inf"),
+        (["check", "--tol", "inf", "--json", _instance_json()],
+         "error: tol must be positive and finite, got inf"),
     ], ids=[
         "params-list", "args-int", "scalars-list", "scalars-empty-list", "instance-args-int",
         "index-no-family", "index-list", "id-int", "index-i-text", "index-i-float",
-        "args-infinity", "negative-tol",
+        "args-infinity", "negative-tol", "infinite-tol", "overflowing-tol",
+        "infinite-residual-tol",
     ])
     def test_reported_as_input_error(self, argv, message):
         proc = run_cli(*argv)
@@ -301,6 +312,26 @@ class TestSuite:
         proc = run_cli("suite", "--instances", "0", cwd=str(tmp_path))
         assert proc.returncode == 1
         assert "error: --instances must be >= 1" in proc.stderr
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # Each default is defined once, in the library; the flags read it.
+    parser = cli.build_parser()
+    policy = TruncationPolicy()
+    ns = parser.parse_args(["eval"])
+    assert (ns.tol, ns.max_degree, ns.stall_window) == (
+        policy.tol, policy.max_total_degree, policy.stall_window
+    )
+    check = inspect.signature(check_identity).parameters
+    ns = parser.parse_args(["check"])
+    assert (ns.tol, ns.outer_cap) == (check["residual_tol"].default, check["outer_cap"].default)
+    assert derived_policy(ns.tol, ns.max_degree, ns.stall_window) == derived_policy(ns.tol)
+    config = SuiteConfig()
+    ns = parser.parse_args(["suite"])
+    assert (ns.seed, ns.instances, ns.jobs, ns.tol, ns.outer_cap) == (
+        config.seed, config.instances, config.jobs, config.residual_tol, config.outer_cap
+    )
+    assert derived_policy(ns.tol, ns.max_degree, ns.stall_window) == derived_policy(ns.tol)
 
 
 class TestArgparseErrors:

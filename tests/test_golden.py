@@ -26,11 +26,13 @@ from f3sum import (
     eval_pfq,
     get_rule,
     lemma_case,
+    list_identities,
     run_suite,
     special_case_inputs,
     special_case_instance,
     write_rows_csv,
 )
+from f3sum.identities import weight_bound, weight_divergence, weight_value
 from f3sum.params import FAMILIES, NUMERATOR_FAMILIES, families_along
 from f3sum.suite import exact_instance, random_instance
 
@@ -42,6 +44,7 @@ SUITE_RATIONAL_CSV_SHA256 = "55b147ef251e629a11caba7f35e4f1b2476364d276f593ee5c7
 SPECIAL_CASES_SHA256 = "3560e9838022552161353bc18f164316df3626d26fd1fbf8ae59043d72d4110d"
 LEMMA_SERIES_SHA256 = "8d1de701be4c17297a09d2c2499f7945c13f4ff0e784beae177cd49943acfc37"
 DERIVED_PARAMS_SHA256 = "a1c2d15a47a3e3b9dbfb1d82e8973ad3400ab7120bc5638841816e0a3cf8c364"
+RULE_TABLE_SHA256 = "650c78ed0e2042ee6733e902821c80739329ca155ab3b2bfa532a18fc6766cf2"
 
 # Rules whose outer variable is x1: their weights multiply the x1-coupled
 # families in families_along(0) order.
@@ -197,3 +200,19 @@ def test_derived_parameter_sets_digest():
                     sets = [rule.rhs_params(inst)] + [rule.lhs_params(inst, k) for k in range(6)]
                     digest.update("\n".join(map(repr, sets)).encode())
     assert digest.hexdigest() == DERIVED_PARAMS_SHA256
+
+
+def test_rule_table_digest():
+    # The value digests see a weight only through the outer sum it enters;
+    # this pins the rule listing and each weight's own bits, its cutoff and
+    # its divergence verdict.
+    digest = hashlib.sha256(repr(list_identities()).encode())
+    for seed in range(4):
+        for rid in IDENTITY_IDS:
+            shape = get_rule(rid).weight
+            for i in range(5):
+                for inst in (random_instance(rid, seed, i), exact_instance(rid, seed, i)):
+                    parts = [repr(weight_bound(shape, inst)), repr(weight_divergence(shape, inst))]
+                    parts += [repr(weight_value(shape, inst, k)) for k in range(6)]
+                    digest.update("\n".join(parts).encode())
+    assert digest.hexdigest() == RULE_TABLE_SHA256

@@ -220,6 +220,8 @@ class TestTruncationPolicy:
             {"max_total_degree": 0},
             {"max_total_degree": -5},
             {"stall_window": 0},
+            {"tol": float("inf")},
+            {"tol": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -1,6 +1,7 @@
 """Tests for the suite's backend handling, its worker processes, and the
 fixed work each row pays."""
 
+import concurrent.futures
 import dataclasses
 import inspect
 import multiprocessing
@@ -49,6 +50,31 @@ def test_pooled_run_leaves_no_worker_running():
     _, rows = run_suite(SuiteConfig(instances=1, backend=RATIONAL, jobs=2))
     assert len(rows) == 26
     assert multiprocessing.active_children() == []
+
+
+def test_pool_asks_for_no_more_workers_than_rows(monkeypatch):
+    # A fork pool starts every worker it is asked for when it opens, so a
+    # --jobs far above the row count used to fork that many processes.  The
+    # fake pool records the request and maps serially; it starts none.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    _, rows = run_suite(SuiteConfig(instances=1, jobs=10_000))
+    assert asked == [26]
+    assert len(rows) == 26
 
 
 @pytest.mark.parametrize("backend", UNKNOWN_BACKENDS)
