@@ -25,13 +25,16 @@ plan as ``p`` with its weights multiplied by ``q``, so its step factor
 is.  In float64, ``p = v`` and ``q = 1``: a term is a float, the step
 multiplies the upstairs factors into ``term * x``, the downstairs ones into
 ``m_d``, and divides once.  In the rational backend ``p/q`` is the entry's
-reduced fraction, so every factor is an int, and a term is an integer pair
-``(N, D)`` with ``D > 0``; the ``q``s of a direction fold into its argument
-as ``(x.num * prod q_down, x.den * prod q_up)``.  A step then multiplies
-ints and reduces the pair with one ``gcd``; a shell sums its pairs over the
-least common denominator and becomes a ``Fraction`` once, as it is yielded.
-That replaces a chain of ``Fraction`` operations, each with its own gcd, per
-point.
+reduced fraction, so every factor is an int, and the ``q``s of a direction
+fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``.
+Every term of shell s is then an integer over one shell denominator
+``D_s = D_{s-1} * K_s``: ``K_s`` is the lcm of the live directions' folded
+argument denominators, times ``s``, times ``p + (s-1)*q`` for each entry of
+a downstairs family moving along a live direction (a zero factor skipped),
+so ``D_s`` holds every denominator a term of the shell can have.  A step
+stores ``N = term * D_s`` as ``N_pred * num * K_s // den``, an exact
+division, and a shell sum is a plain int sum that becomes
+``Fraction(sum, D_s)`` once, as it is yielded.  No point pays a ``gcd``.
 
 The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
 draws them, up to the degree cap and no further, and adds them up under the
@@ -55,7 +58,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DenominatorPoleError, InvalidInputError
@@ -68,6 +71,7 @@ from .numerics import (
     classify_backend,
 )
 from .params import (
+    DENOMINATOR_FAMILIES,
     FAMILIES,
     FAMILY_COMBO,
     NUMERATOR_FAMILIES,
@@ -126,8 +130,8 @@ def _direction_plan(
     ``q * (v + order)``, an int in the rational backend.  Upstairs entries
     are ``(q*w1, q*w2, q*w3, p)`` and downstairs entries
     ``(q*w1, q*w2, q*w3, p, family, j, v)``, ``j`` the 1-based entry index.
-    Families keep their families_along order and entries their family order,
-    because the float product depends on it.
+    Empty families are skipped; the others keep their families_along order
+    and entries their family order, because the float product depends on it.
 
     In float64 the argument stays ``x``.  With ``exact`` set the ``q``s fold
     into it, and it becomes the int pair
@@ -137,26 +141,75 @@ def _direction_plan(
     upstairs = []
     q_up = 1
     for name, (w1, w2, w3) in up_families:
-        for v in getattr(ps, name):
-            p, q = (v.numerator, v.denominator) if exact else (v, 1)
-            upstairs.append((q * w1, q * w2, q * w3, p))
-            q_up *= q
+        values = getattr(ps, name)
+        if values:
+            for v in values:
+                p, q = v.as_integer_ratio() if exact else (v, 1)
+                upstairs.append((q * w1, q * w2, q * w3, p))
+                q_up *= q
     downstairs = []
     q_down = 1
     for name, (w1, w2, w3) in down_families:
-        for j, v in enumerate(getattr(ps, name), start=1):
-            p, q = (v.numerator, v.denominator) if exact else (v, 1)
-            downstairs.append((q * w1, q * w2, q * w3, p, name, j, v))
-            q_down *= q
+        values = getattr(ps, name)
+        if values:
+            for j, v in enumerate(values, start=1):
+                p, q = v.as_integer_ratio() if exact else (v, 1)
+                downstairs.append((q * w1, q * w2, q * w3, p, name, j, v))
+                q_down *= q
     if exact:
-        x = (x.numerator * q_down, x.denominator * q_up)
+        n, d = x.as_integer_ratio()
+        x = (n * q_down, d * q_up)
     return upstairs, downstairs, x
+
+
+# Per set of live directions, bit d set when argument d is nonzero: the
+# downstairs families whose Pochhammer order moves along at least one of them.
+_LIVE_DOWNSTAIRS = tuple(
+    tuple(
+        name for name in DENOMINATOR_FAMILIES
+        if any(FAMILY_COMBO[name][d] for d in range(3) if live >> d & 1)
+    )
+    for live in range(8)
+)
+
+
+def _shell_factors(ps: ParameterSet, plans: List[Optional[tuple]]) -> Iterator[int]:
+    """Yield ``K_s`` for s = 1, 2, ...: the exact walk's shell denominators
+    are ``D_0 = 1`` and ``D_s = D_{s-1} * K_s``.
+
+    ``K_s = B * s * prod (p + (s-1)*q)``, where ``B`` is the lcm of the live
+    directions' folded argument denominators and the product runs over the
+    entries ``p/q`` of every downstairs family moving along a live direction,
+    with a zero factor skipped.  A point m of shell s has total degree s and
+    every Pochhammer order at most s, so its term's denominator, which holds
+    at most ``B^s``, ``m!`` and the downstairs factors ``p + k*q`` for k below
+    each order, divides ``D_s``: every term of the shell is an integer over
+    ``D_s``.  A skipped zero factor is a pole no point reached, since the
+    step raises DenominatorPoleError at the point that reaches one.
+    """
+    live = 0
+    denominators = []
+    for d, plan in enumerate(plans):
+        if plan is not None:
+            live |= 1 << d
+            denominators.append(plan[2][1])
+    base = lcm(*denominators)
+    downstairs = [
+        v.as_integer_ratio() for name in _LIVE_DOWNSTAIRS[live] for v in getattr(ps, name)
+    ]
+    for s in itertools.count(1):
+        k = base * s
+        for p, q in downstairs:
+            factor = p + (s - 1) * q
+            if factor:
+                k *= factor
+        yield k
 
 
 def _shell_sums(
     plans: List[Optional[Tuple[List[tuple], List[tuple], object]]],
     cuts: List[tuple],
-    exact: bool,
+    shell_factors: Optional[Iterator[int]],
 ) -> Iterator[Number]:
     """Yield the sum of each shell s = 0, 1, 2, ... of the lattice walk.
 
@@ -164,22 +217,27 @@ def _shell_sums(
     that direction.  The generator returns at the first empty shell: the
     support is a lower set, so every later shell is empty too.
 
-    Both backends share the step; ``exact`` only decides how a term starts
-    and how it is stored.  In float64 a term is a float, and each step
-    divides once.  With ``exact`` set each term is an int pair ``(N, D)``,
-    D > 0, reduced by one gcd per point, and each shell sum is an int pair
-    made a Fraction once, as it is yielded.
+    Both backends share the step; the backend only decides how a term is
+    stored.  In float64, ``shell_factors`` is None, a term is a float, and
+    each step divides once.  In the rational backend ``shell_factors``
+    yields the ``K_s`` of :func:`_shell_factors`, and each term of shell s
+    is the int ``N = term * D_s``.  A step is then
+    ``N = N_pred * num * K_s // den``, an exact division; the shell sum is
+    an int sum and becomes ``Fraction(sum, D_s)`` once, as it is yielded.
     """
+    exact = shell_factors is not None
     z1, z2, z3 = (plan is None for plan in plans)
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
     # or None where the point lies outside the support.
-    prev: List[List[object]] = [[(1, 1) if exact else 1]]
+    prev: List[List[object]] = [[1]]
+    shell_den = 1
     yield 1
     for s in itertools.count(1):
         cur: List[List[object]] = []
         shell_sum: Number = 0
-        # The exact shell sum is shell_sum / sum_den.
-        sum_den = 1
+        if exact:
+            k_s = next(shell_factors)
+            shell_den *= k_s
         visited = False
         for m1 in range(s + 1):
             row: List[object] = []
@@ -213,8 +271,7 @@ def _shell_sums(
                     value = prev[m1 - 1][0]
                 visited = True
                 if exact:
-                    # Small factors first, then one product with the big
-                    # term, one gcd, and the sign kept in the numerator.
+                    # Small factors first; the big term takes them last.
                     num, xd = x
                     den = den * xd
                 else:
@@ -231,26 +288,15 @@ def _shell_sums(
                         )
                     den = den * factor
                 if exact:
-                    n = value[0] * num
-                    d = value[1] * den
-                    g = gcd(n, d)
-                    if d < 0:
-                        g = -g
-                    n //= g
-                    d //= g
-                    row.append((n, d))
-                    # Over the least common denominator of the shell so far.
-                    g = gcd(sum_den, d)
-                    shell_sum = shell_sum * (d // g) + n * (sum_den // g)
-                    sum_den = sum_den // g * d
+                    value = value * num * k_s // den
                 else:
                     value = num / den
-                    row.append(value)
-                    shell_sum = shell_sum + value
+                row.append(value)
+                shell_sum = shell_sum + value
         if not visited:
             return
         prev = cur
-        yield Fraction(shell_sum, sum_den) if exact else shell_sum
+        yield Fraction(shell_sum, shell_den) if exact else shell_sum
 
 
 def _top_shell(plans: List[Optional[tuple]], cuts: List[tuple], cap: int) -> Optional[int]:
@@ -283,17 +329,11 @@ def _top_shell(plans: List[Optional[tuple]], cuts: List[tuple], cap: int) -> Opt
     return cap
 
 
-def eval_f3(
-    ps: ParameterSet,
-    args: ArgumentTriple,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> EvaluationResult:
-    """Sum the triple series at ``args`` under ``policy``.
-
-    Parameters and arguments must share one arithmetic backend.  A series
-    that does not settle within the degree cap, or whose radius of
-    convergence is zero, returns its partial sum with ``converged`` False.
-    """
+def _walk(
+    ps: ParameterSet, args: ArgumentTriple
+) -> Tuple[List[Optional[tuple]], List[tuple], Iterator[Number]]:
+    """Compile one call's walk: ``(plans, cuts, shell sums)``, the last a
+    generator that has not yet stepped."""
     exact = classify_backend(ps.representatives + (args.x1, args.x2, args.x3)) != FLOAT64
     # A zero argument keeps the walk off its direction, which needs no plan.
     plans = [
@@ -307,8 +347,24 @@ def eval_f3(
             bound = termination_bound(values)
             if bound is not None:
                 cuts.append(FAMILY_COMBO[name] + (bound,))
+    factors = _shell_factors(ps, plans) if exact else None
+    return plans, cuts, _shell_sums(plans, cuts, factors)
+
+
+def eval_f3(
+    ps: ParameterSet,
+    args: ArgumentTriple,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> EvaluationResult:
+    """Sum the triple series at ``args`` under ``policy``.
+
+    Parameters and arguments must share one arithmetic backend.  A series
+    that does not settle within the degree cap, or whose radius of
+    convergence is zero, returns its partial sum with ``converged`` False.
+    """
+    plans, cuts, shells = _walk(ps, args)
     top = _top_shell(plans, cuts, policy.max_total_degree)
-    result = adaptive_sum(_shell_sums(plans, cuts, exact), policy, exact_bound=top)
+    result = adaptive_sum(shells, policy, exact_bound=top)
     if top is None and result.converged:
         # Along a live direction no cut bounds, terms grow like (m!)^(excess - 1).
         lengths = {name: len(getattr(ps, name)) for name in FAMILIES}

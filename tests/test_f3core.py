@@ -25,6 +25,7 @@ from f3sum import (
     pochhammer,
     pochhammer_product,
 )
+from f3sum.f3core import _walk
 from f3sum.params import families_along, order_excess
 
 
@@ -502,6 +503,99 @@ def test_rational_pfq_equals_naive_term_loop(case):
     assert res.terminated_exactly
     assert isinstance(res.value, (int, Fraction))
     assert res.value == naive_pfq(upper, lower, x, top)
+
+
+@st.composite
+def exact_walk_cases(draw):
+    """A rational parameter set and arguments, either sign, some arguments
+    zero, with one of three endings: no downstairs nonpositive integer; one
+    at -n in a family whose order never exceeds that of an upstairs family
+    cut at -t >= -n, so the walk never reaches it, though it may go on past
+    shell n + 1 along other directions; or one at -n along a live direction,
+    which the walk may reach within the first ``shells`` shells.  At most
+    four families are filled, so that no downstairs entry covers for a
+    factor missing from the shell denominator."""
+    fields = dict.fromkeys(FAMILY_COMBO, ())
+    for name in draw(st.sets(st.sampled_from(sorted(FAMILY_COMBO)), max_size=4)):
+        entries = _DOWNSTAIRS if name in DENOMINATOR_FAMILIES else _UPSTAIRS
+        fields[name] = tuple(draw(st.lists(entries, min_size=1, max_size=2)))
+    args = [draw(_ARGUMENT) for _ in range(3)]
+    ending = draw(st.sampled_from(("none", "cut", "pole")))
+    if ending != "none":
+        n = draw(st.integers(0, 4))
+        if ending == "cut":
+            cut = draw(st.sampled_from(NUMERATOR_FAMILIES))
+            fields[cut] += (-draw(st.integers(0, n)),)
+            pole = draw(st.sampled_from([
+                name for name in DENOMINATOR_FAMILIES
+                if all(w <= c for w, c in zip(FAMILY_COMBO[name], FAMILY_COMBO[cut]))
+            ]))
+        else:
+            live = [d for d, x in enumerate(args) if x != 0] or [0]
+            pole = draw(st.sampled_from(families_along(draw(st.sampled_from(live)))[1]))
+        fields[pole] = draw(st.permutations(fields[pole] + (-n,)))
+    return ParameterSet(**fields), args, draw(st.integers(1, 6))
+
+
+def naive_shells(ps, args, shells):
+    """Shells 0..shells of the series, every point priced from scratch in
+    the walk's order; the walk's DenominatorPoleError text at the first
+    point of the support whose downstairs product vanishes."""
+    sums = []
+    for s in range(shells + 1):
+        total = Fraction(0)
+        for m1 in range(s + 1):
+            for m2 in range(s - m1 + 1):
+                m = (m1, m2, s - m1 - m2)
+                num = Fraction(1)
+                for name in NUMERATOR_FAMILIES:
+                    num *= pochhammer_product(ps.family(name), combo_degree(name, *m))
+                for x, k in zip(args, m):
+                    num *= Fraction(x) ** k / math.factorial(k)
+                if num == 0:
+                    continue  # outside the support
+                den = 1
+                for name in DENOMINATOR_FAMILIES:
+                    den *= pochhammer_product(ps.family(name), combo_degree(name, *m))
+                if den == 0:
+                    # The walk steps along the last nonzero index, and the
+                    # first vanishing factor in its plan order names the pole.
+                    d = max(i for i in range(3) if m[i])
+                    pred = tuple(k - (i == d) for i, k in enumerate(m))
+                    for name in families_along(d)[1]:
+                        order = combo_degree(name, *pred)
+                        for j, v in enumerate(ps.family(name), start=1):
+                            if v + order == 0:
+                                return sums, (
+                                    f"downstairs entry {name}[{j}] = {v!r} vanishes "
+                                    f"at Pochhammer order {order + 1}"
+                                )
+                total += num / den
+        sums.append(total)
+    return sums, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_walk_cases())
+def test_exact_walk_yields_the_naive_shell_sums(case):
+    ps, args, shells = case
+    expected, pole = naive_shells(ps, args, shells)
+    walk = _walk(ps, ArgumentTriple(*args))[2]
+    got = []
+    try:
+        for _ in range(shells + 1):
+            got.append(next(walk))
+    except StopIteration:
+        pass
+    except DenominatorPoleError as err:
+        assert str(err) == pole
+        pole = None
+    assert pole is None
+    assert got[0] == 1
+    # Each shell sum is a reduced Fraction; the walk ends at the first
+    # empty shell, and every shell after it sums to zero.
+    assert [repr(v) for v in got[1:]] == [repr(v) for v in expected[1:len(got)]]
+    assert not any(expected[len(got):])
 
 
 # Entries that never vanish as Pochhammer bases: positive ints and
