@@ -26,15 +26,17 @@ is.  In float64, ``p = v`` and ``q = 1``: a term is a float, the step
 multiplies the upstairs factors into ``term * x``, the downstairs ones into
 ``m_d``, and divides once.  In the rational backend ``p/q`` is the entry's
 reduced fraction, so every factor is an int, and the ``q``s of a direction
-fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``.
-Every term of shell s is then an integer over one shell denominator
-``D_s = D_{s-1} * K_s``: ``K_s`` is the lcm of the live directions' folded
-argument denominators, times ``s``, times ``p + (s-1)*q`` for each entry of
-a downstairs family moving along a live direction (a zero factor skipped),
-so ``D_s`` holds every denominator a term of the shell can have.  A step
-stores ``N = term * D_s`` as ``N_pred * num * K_s // den``, an exact
-division, and a shell sum is a plain int sum that becomes
-``Fraction(sum, D_s)`` once, as it is yielded.  No point pays a ``gcd``.
+fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``,
+reduced once per call.  Every term of shell s is then an integer over one
+shell denominator ``D_s = D_{s-1} * K_s``: ``K_s`` is the lcm of the live
+directions' folded argument denominators, times ``s``, times
+``p + (s-1)*q`` for each entry of a downstairs family moving along a live
+direction (a zero factor skipped), so ``D_s`` holds every denominator a
+term of the shell can have.  A negative downstairs entry can make ``K_s``,
+and so ``D_s``, negative.  A step stores ``N = term * D_s`` as
+``N_pred * (num * K_s) // den``, an exact division, and a shell is yielded
+as the int pair ``(N_s, K_s)``, ``N_s`` its plain int sum.  No point pays a
+``gcd``, and no shell builds a ``Fraction``.
 
 The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
 draws them, up to the degree cap and no further, and adds them up under the
@@ -57,8 +59,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DenominatorPoleError, InvalidInputError
@@ -66,6 +67,7 @@ from .numerics import (
     FLOAT64,
     EvaluationResult,
     Number,
+    Term,
     TruncationPolicy,
     adaptive_sum,
     classify_backend,
@@ -135,7 +137,9 @@ def _direction_plan(
 
     In float64 the argument stays ``x``.  With ``exact`` set the ``q``s fold
     into it, and it becomes the int pair
-    ``(x.num * prod q_down, x.den * prod q_up)``.
+    ``(x.num * prod q_down, x.den * prod q_up)`` divided by its ``gcd``:
+    entries that share a denominator (sevenths) would otherwise leave a
+    common power of it in both halves, and so in ``B`` and every ``K_s``.
     """
     up_families, down_families = _DIRECTION_FAMILIES[direction]
     upstairs = []
@@ -158,7 +162,10 @@ def _direction_plan(
                 q_down *= q
     if exact:
         n, d = x.as_integer_ratio()
-        x = (n * q_down, d * q_up)
+        n *= q_down
+        d *= q_up
+        g = gcd(n, d)
+        x = (n // g, d // g)
     return upstairs, downstairs, x
 
 
@@ -185,7 +192,9 @@ def _shell_factors(ps: ParameterSet, plans: List[Optional[tuple]]) -> Iterator[i
     at most ``B^s``, ``m!`` and the downstairs factors ``p + k*q`` for k below
     each order, divides ``D_s``: every term of the shell is an integer over
     ``D_s``.  A skipped zero factor is a pole no point reached, since the
-    step raises DenominatorPoleError at the point that reaches one.
+    step raises DenominatorPoleError at the point that reaches one.  A
+    negative entry gives negative factors while ``p + (s-1)*q < 0``, so
+    ``K_s`` and ``D_s`` may be negative; a reader takes ``|D_s|``.
     """
     live = 0
     denominators = []
@@ -210,7 +219,7 @@ def _shell_sums(
     plans: List[Optional[Tuple[List[tuple], List[tuple], object]]],
     cuts: List[tuple],
     shell_factors: Optional[Iterator[int]],
-) -> Iterator[Number]:
+) -> Iterator[Term]:
     """Yield the sum of each shell s = 0, 1, 2, ... of the lattice walk.
 
     ``plans[d]`` is None where argument d is zero, which keeps the walk off
@@ -222,22 +231,23 @@ def _shell_sums(
     each step divides once.  In the rational backend ``shell_factors``
     yields the ``K_s`` of :func:`_shell_factors`, and each term of shell s
     is the int ``N = term * D_s``.  A step is then
-    ``N = N_pred * num * K_s // den``, an exact division; the shell sum is
-    an int sum and becomes ``Fraction(sum, D_s)`` once, as it is yielded.
+    ``N = N_pred * (num * K_s) // den``, an exact division, with one
+    multiply of the big ``N_pred``.  Shell 0 is the int 1 in both backends;
+    every later exact shell is yielded as ``(N_s, K_s)``, its int sum and
+    factor, which :func:`~f3sum.numerics.adaptive_sum` sums over the running
+    denominator ``D_s``.
     """
     exact = shell_factors is not None
     z1, z2, z3 = (plan is None for plan in plans)
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
     # or None where the point lies outside the support.
     prev: List[List[object]] = [[1]]
-    shell_den = 1
     yield 1
     for s in itertools.count(1):
         cur: List[List[object]] = []
         shell_sum: Number = 0
         if exact:
             k_s = next(shell_factors)
-            shell_den *= k_s
         visited = False
         for m1 in range(s + 1):
             row: List[object] = []
@@ -288,7 +298,7 @@ def _shell_sums(
                         )
                     den = den * factor
                 if exact:
-                    value = value * num * k_s // den
+                    value = value * (num * k_s) // den
                 else:
                     value = num / den
                 row.append(value)
@@ -296,7 +306,7 @@ def _shell_sums(
         if not visited:
             return
         prev = cur
-        yield Fraction(shell_sum, shell_den) if exact else shell_sum
+        yield (shell_sum, k_s) if exact else shell_sum
 
 
 def _top_shell(plans: List[Optional[tuple]], cuts: List[tuple], cap: int) -> Optional[int]:
@@ -331,7 +341,7 @@ def _top_shell(plans: List[Optional[tuple]], cuts: List[tuple], cap: int) -> Opt
 
 def _walk(
     ps: ParameterSet, args: ArgumentTriple
-) -> Tuple[List[Optional[tuple]], List[tuple], Iterator[Number]]:
+) -> Tuple[List[Optional[tuple]], List[tuple], Iterator[Term]]:
     """Compile one call's walk: ``(plans, cuts, shell sums)``, the last a
     generator that has not yet stepped."""
     exact = classify_backend(ps.representatives + (args.x1, args.x2, args.x3)) != FLOAT64

@@ -13,7 +13,8 @@ The module also provides the rising factorial (Pochhammer symbol), the
 truncation policy / result records used by every adaptive summation, and
 ``adaptive_sum`` itself, the single stall-rule loop the rest of the package
 builds on.  It sums an iterator of terms: the shell sums of an ``eval_f3``
-walk, or the outer k-terms of an identity check.
+walk (an exact walk's as ints over a running denominator), or the outer
+k-terms of an identity check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import (
     BackendMismatchError,
@@ -32,6 +33,8 @@ from .errors import (
 )
 
 Number = Union[int, float, Fraction]
+# A term of adaptive_sum: a number, or an int over a running denominator.
+Term = Union[Number, Tuple[int, int]]
 
 FLOAT64 = "float64"
 RATIONAL = "rational"
@@ -198,7 +201,10 @@ def magnitude_as_float(mag: Number) -> float:
 def below_threshold(mag: Number, reference: Number, tol: float) -> bool:
     """|term| < tol * max(|S|, 1), computed exactly for rational magnitudes.
 
-    Non-finite values never count as small, so overflow or NaN can only delay
+    A rational comparison stays in ints: with ``tol = t_num / t_den`` it is
+    ``m_num * t_den * r_den < t_num * r_num * m_den``, where ``mag`` and the
+    clamped reference are ``m_num / m_den`` and ``r_num / r_den``.  Non-finite
+    values never count as small, so overflow or NaN can only delay
     convergence, never fake it.
     """
     if isinstance(mag, float) and not math.isfinite(mag):
@@ -208,11 +214,14 @@ def below_threshold(mag: Number, reference: Number, tol: float) -> bool:
         if isinstance(ref, float) and not math.isfinite(ref):
             return False
         return mag < tol * ref
-    return mag < Fraction(tol) * ref
+    m_num, m_den = mag.as_integer_ratio()
+    r_num, r_den = ref.as_integer_ratio()
+    t_num, t_den = tol.as_integer_ratio()
+    return m_num * t_den * r_den < t_num * r_num * m_den
 
 
 def adaptive_sum(
-    terms: Iterable[Number],
+    terms: Iterable[Term],
     policy: TruncationPolicy,
     exact_bound: Optional[int] = None,
 ) -> EvaluationResult:
@@ -221,6 +230,16 @@ def adaptive_sum(
     Terms are drawn in order, once each, and at most ``limit + 1`` of them
     (the cap, or ``exact_bound`` below it), so no term past the limit is
     ever computed and the result is bitwise reproducible.
+
+    A term is a number, or, from the exact ``eval_f3`` walk, a pair
+    ``(n, k)`` of ints: the term ``n / D`` over a running denominator ``D``
+    that starts at 1 and that ``k`` multiplies first.  Plain terms may only
+    come before the first pair.  The sum is then kept as the int numerator
+    ``T`` over ``D`` (``T <- T * k + n``), the stall rule is the exact int
+    comparison ``|n| * t_den < t_num * max(|T|, |D|)`` with
+    ``tol = t_num / t_den`` (``D`` may be negative, hence ``|D|``), and the
+    value becomes one ``Fraction`` at the end: the same result, type
+    included, as summing the terms as ``Fraction``s.
 
     An iterator that ends promises that no later term is nonzero: the sum
     so far is exact and returned converged and terminated_exactly, with
@@ -236,18 +255,29 @@ def adaptive_sum(
     """
     exact = exact_bound is not None and exact_bound <= policy.max_total_degree
     limit = exact_bound if exact else policy.max_total_degree
+    t_num, t_den = policy.tol.as_integer_ratio()
     total: Number = 0
+    den = 1
     streak = 0
     used = 0
-    last: Number = 0
+    last: Term = 0
     converged = terminated = exact
     for t_k in itertools.islice(terms, limit + 1):
-        total = total + t_k
         used += 1
         last = t_k
-        if exact:
-            continue
-        if below_threshold(abs(t_k), abs(total), policy.tol):
+        if type(t_k) is tuple:
+            n, k = t_k
+            den *= k
+            total = total * k + n
+            if exact:
+                continue
+            small = abs(n) * t_den < t_num * max(abs(total), abs(den))
+        else:
+            total = total + t_k
+            if exact:
+                continue
+            small = below_threshold(abs(t_k), abs(total), policy.tol)
+        if small:
             streak += 1
             if streak >= policy.stall_window:
                 converged = True
@@ -258,6 +288,9 @@ def adaptive_sum(
         # Fewer than limit + 1 terms: the iterator ended, so the sum is complete.
         if used <= limit:
             converged = terminated = True
+    if type(last) is tuple:
+        total = Fraction(total, den)
+        last = Fraction(last[0], den)
     return EvaluationResult(
         value=total,
         shells_used=used,

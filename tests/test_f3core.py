@@ -17,6 +17,7 @@ from f3sum import (
     NUMERATOR_FAMILIES,
     ParameterSet,
     TruncationPolicy,
+    adaptive_sum,
     arguments_from_json,
     combo_degree,
     eval_f3,
@@ -25,7 +26,7 @@ from f3sum import (
     pochhammer,
     pochhammer_product,
 )
-from f3sum.f3core import _walk
+from f3sum.f3core import _direction_plan, _walk
 from f3sum.params import families_along, order_excess
 
 
@@ -592,9 +593,13 @@ def test_exact_walk_yields_the_naive_shell_sums(case):
         pole = None
     assert pole is None
     assert got[0] == 1
-    # Each shell sum is a reduced Fraction; the walk ends at the first
-    # empty shell, and every shell after it sums to zero.
-    assert [repr(v) for v in got[1:]] == [repr(v) for v in expected[1:len(got)]]
+    # Each later shell sum is the int N_s over D_s = D_{s-1} * K_s; the walk
+    # ends at the first empty shell, and every shell after it sums to zero.
+    sums, den = [], 1
+    for n, k in got[1:]:
+        den *= k
+        sums.append(Fraction(n, den))
+    assert [repr(v) for v in sums] == [repr(v) for v in expected[1:len(got)]]
     assert not any(expected[len(got):])
 
 
@@ -641,3 +646,57 @@ def test_zero_radius_is_never_converged_in_either_backend(case):
     )
     assert not exact.converged
     assert not floats.converged
+
+
+# Negative non-integer sixths: no pole, and each flips the sign of K_s while
+# p + (s-1)q < 0.
+_NEGATIVE_NON_INTEGER = _NON_INTEGER.filter(lambda v: v < 0)
+
+
+@st.composite
+def negative_denominator_cases(draw):
+    """A non-terminating rational set with a negative downstairs entry, so
+    that some shell denominators D_s are negative, nonzero arguments of
+    either sign, and a policy with a small cap."""
+    fields = dict.fromkeys(FAMILY_COMBO, ())
+    for name in draw(st.sets(st.sampled_from(sorted(FAMILY_COMBO)), max_size=3)):
+        fields[name] = tuple(draw(st.lists(_NONVANISHING, min_size=1, max_size=2)))
+    negative = draw(st.sampled_from(DENOMINATOR_FAMILIES))
+    fields[negative] = draw(st.permutations(fields[negative] + (draw(_NEGATIVE_NON_INTEGER),)))
+    args = [draw(st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 12)))
+            for _ in range(3)]
+    policy = TruncationPolicy(
+        tol=draw(st.sampled_from((0.5, 2.0**-6, 1e-3))),
+        max_total_degree=draw(st.integers(1, 7)),
+        stall_window=draw(st.integers(1, 3)),
+    )
+    return ParameterSet(**fields), args, policy
+
+
+@settings(max_examples=150, deadline=None)
+@given(negative_denominator_cases())
+def test_negative_shell_denominators_sum_as_the_naive_shells(case):
+    # No bench workload has D_s < 0, so a stall test that takes D_s for
+    # |D_s| shows only here.
+    ps, args, policy = case
+    expected, pole = naive_shells(ps, args, policy.max_total_degree)
+    assert pole is None
+    reference = adaptive_sum(iter([1] + expected[1:]), policy)
+    lengths = {name: len(getattr(ps, name)) for name in FAMILY_COMBO}
+    if any(order_excess(lengths, d) > 1 for d in range(3)):
+        reference = dataclasses.replace(reference, converged=False)
+    assert repr(eval_f3(ps, ArgumentTriple(*args), policy)) == repr(reference)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_exact_argument_pair_is_reduced(sign):
+    # Along m1 the upstairs a, c and downstairs e, h fold q_up = 7^2 and
+    # q_down = 7^3 into x = 3/14: the unreduced pair (3 * 7^3, 14 * 7^2)
+    # shares 7^3, which would enter every shell factor K_s.
+    ps = ParameterSet(a=(Fraction(3, 7),), c=(Fraction(5, 7),), e=(Fraction(9, 7),),
+                      h=(Fraction(2, 7), Fraction(11, 7)))
+    x = Fraction(sign * 3, 14)
+    num, den = _direction_plan(ps, 0, x, True)[2]
+    assert math.gcd(num, den) == 1
+    assert Fraction(num, den) == x * 7**3 / 7**2
+    assert (num, den) == (sign * 3, 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import count, repeat
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from f3sum import (
     BackendMismatchError,
@@ -330,3 +330,54 @@ class TestAdaptiveSum:
     def test_nonstrict_reports_divergence(self):
         res = adaptive_sum((float(k + 1) for k in count()), TruncationPolicy())
         assert not res.converged
+
+
+@st.composite
+def running_denominator_cases(draw):
+    """Terms as the exact eval_f3 walk yields them, ``(n, k)`` pairs of ints
+    over the running denominator D (times k first), after an optional plain
+    int first term; the same terms as Fractions; a dyadic-tol policy; and an
+    exact_bound that is None, under the cap or above it.
+
+    Besides free terms, a term may sit exactly on the stall threshold:
+    ``tol`` itself (k carries 2^j, so ``tol * D`` is an int), or
+    ``S / (2^j - 1)``, whose magnitude is ``tol * |S + term|``."""
+    j = draw(st.integers(1, 6))
+    cap = draw(st.integers(1, 8))
+    policy = TruncationPolicy(tol=2.0**-j, max_total_degree=cap,
+                              stall_window=draw(st.integers(1, 4)))
+    bound = draw(st.one_of(st.none(), st.integers(0, cap), st.integers(cap + 1, cap + 4)))
+    ints, fractions = [], []
+    total, den = 0, 1
+    for s in range(draw(st.integers(1, cap + 3))):
+        if s == 0 and draw(st.booleans()):
+            total = draw(st.integers(-50, 50))
+            ints.append(total)
+            fractions.append(total)
+            continue
+        kind = draw(st.sampled_from(("free", "tol", "ratio")))
+        k = draw(st.integers(1, 40)) * draw(st.sampled_from((1, -1)))
+        k *= {"free": 1, "tol": 2**j, "ratio": 2**j - 1}[kind]
+        den *= k
+        if kind == "free":
+            n = draw(st.integers(-abs(den), abs(den))) >> draw(st.integers(0, 12))
+        elif kind == "tol":
+            n = draw(st.sampled_from((1, -1))) * abs(den) // 2**j
+        else:
+            n = total * k // (2**j - 1)
+        total = total * k + n
+        ints.append((n, k))
+        fractions.append(Fraction(n, den))
+    return ints, fractions, policy, bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(running_denominator_cases())
+# |1| == tol * |1 + 1| is not below the threshold, so the sum is not converged.
+@example(([1, (1, 1)], [1, Fraction(1)], TruncationPolicy(0.5, 1, 1), None))
+# D = -8: |-1/8| < 1/4 * max(|-1/8|, 1) is max(|T|, |D|) = 8, not max(|T|, D) = 1.
+@example(([0, (1, -8)], [0, Fraction(-1, 8)], TruncationPolicy(0.25, 1, 2), None))
+def test_int_terms_over_a_running_denominator_sum_as_fractions(case):
+    ints, fractions, policy, bound = case
+    got = adaptive_sum(iter(ints), policy, bound)
+    assert repr(got) == repr(adaptive_sum(iter(fractions), policy, bound))
