@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -123,6 +124,18 @@ def _read_file(path: str) -> object:
         raise CliInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _dump(data: object) -> None:
+    """Print ``data`` as strict JSON.  A non-finite float value of a mapping
+    is written as its repr string (``"inf"``, ``"-inf"``, ``"nan"``), the
+    spelling the suite CSV uses, since JSON has no such numbers."""
+    if isinstance(data, dict):
+        data = {
+            key: repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in data.items()
+        }
+    print(json.dumps(data, indent=2, allow_nan=False))
+
+
 def cmd_eval(ns: argparse.Namespace) -> int:
     if ns.file is not None:
         data = _read_file(ns.file)
@@ -141,13 +154,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         tol=ns.tol, max_total_degree=ns.max_degree, stall_window=ns.stall_window
     )
     result = eval_f3(ps, args, policy)
-    print(json.dumps({
+    _dump({
         "value": format_number(result.value),
         "converged": result.converged,
         "terminated_exactly": result.terminated_exactly,
         "shells_used": result.shells_used,
         "last_shell_magnitude": result.last_shell_magnitude,
-    }, indent=2))
+    })
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -166,7 +179,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
         residual_tol=ns.tol,
         outer_cap=ns.outer_cap,
     )
-    print(json.dumps(report.to_json_dict(), indent=2))
+    _dump(report.to_json_dict())
     if report.passed:
         return EXIT_OK
     if report.converged_lhs and report.converged_rhs:
@@ -193,7 +206,7 @@ def cmd_suite(ns: argparse.Namespace) -> int:
     summary, rows = run_suite(config)
     write_rows_csv(rows, ns.out)
     summary["csv_path"] = ns.out
-    print(json.dumps(summary, indent=2))
+    _dump(summary)
     if summary["all_pass"]:
         return EXIT_OK
     failed_converged = any(
@@ -204,7 +217,7 @@ def cmd_suite(ns: argparse.Namespace) -> int:
 
 
 def cmd_list(ns: argparse.Namespace) -> int:
-    print(json.dumps(list_identities(), indent=2))
+    _dump(list_identities())
     return EXIT_OK
 
 

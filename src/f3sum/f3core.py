@@ -10,13 +10,16 @@ each term derived from a neighbour in the previous shell by a one-step
 recurrence, so a shell costs one multiply-divide per lattice point instead of
 a full coefficient rebuild.
 
-Each call compiles the walk once before summing.  Per lattice direction a
-flat factor plan lists every parameter entry whose Pochhammer order moves
-with a step along it, with its family's FAMILY_COMBO weights, and the upstairs
-termination bounds become linear cuts on the lattice.  Each shell is a flat
-triangular list, ``shell[m1][m2]`` for the point (m1, m2, s - m1 - m2), so a
-term finds its predecessor by index, and the walk itself looks up no family
-by name.
+Each call compiles the walk once before summing, into its one reading of
+the families.  Per live lattice direction (nonzero argument) a flat factor
+plan lists every parameter entry whose Pochhammer order moves with a step
+along it, with its family's FAMILY_COMBO weights.  The support is a list of
+linear cuts: a zero argument x_d is the cut m_d <= 0, and each upstairs
+termination bound is a cut too.  The walk, the exact shell denominators, the
+top-shell bound and the zero-radius test all read these plans and cuts.
+Each shell is a flat triangular list, ``shell[m1][m2]`` for the point
+(m1, m2, s - m1 - m2), so a term finds its predecessor by index, and the
+walk itself looks up no family by name.
 
 The backend, classified once, sets how a term starts and how it is stored;
 the step between is one loop for both.  Every entry ``v = p/q`` enters its
@@ -28,12 +31,12 @@ multiplies the upstairs factors into ``term * x``, the downstairs ones into
 reduced fraction, so every factor is an int, and the ``q``s of a direction
 fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``,
 reduced once per call.  Every term of shell s is then an integer over one
-shell denominator ``D_s = D_{s-1} * K_s``: ``K_s`` is the lcm of the live
-directions' folded argument denominators, times ``s``, times
-``p + (s-1)*q`` for each entry of a downstairs family moving along a live
-direction (a zero factor skipped), so ``D_s`` holds every denominator a
-term of the shell can have.  A negative downstairs entry can make ``K_s``,
-and so ``D_s``, negative.  A step stores ``N = term * D_s`` as
+shell denominator ``D_s = D_{s-1} * K_s``: ``K_s``, read from the plans, is
+the lcm of their folded argument denominators, times ``s``, times
+``p + (s-1)*q`` for each downstairs entry of a plan, taken once (a zero
+factor skipped), so ``D_s`` holds every denominator a term of the shell can
+have.  A negative downstairs entry can make ``K_s``, and so ``D_s``,
+negative.  A step stores ``N = term * D_s`` as
 ``N_pred * (num * K_s) // den``, an exact division, and a shell is yielded
 as the int pair ``(N_s, K_s)``, ``N_s`` its plain int sum.  No point pays a
 ``gcd``, and no shell builds a ``Fraction``.
@@ -42,13 +45,14 @@ The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
 draws them, up to the degree cap and no further, and adds them up under the
 :class:`~f3sum.numerics.TruncationPolicy`: once the shell magnitude stays
 below tol * max(|sum|, 1) for ``stall_window`` shells in a row, the sum stops
-and reports converged, unless the family sizes show a zero radius of
-convergence.  When upstairs parameters or zero arguments cut the
-support down to finitely many lattice points, ``eval_f3`` passes a bound on
-its top shell as ``exact_bound`` instead, so the stall rule cannot end the
-sum early: it runs to the walk's first empty shell, where the generator
-ends, and the value is backend-exact (``terminated_exactly``).  A support
-that reaches past the degree cap falls back to the stall rule.
+and reports converged, unless an uncut direction's plan holds more than one
+upstairs entry beyond its downstairs ones, which means a zero radius of
+convergence.  When the cuts leave finitely many lattice points, ``eval_f3``
+passes a bound on the top shell as ``exact_bound`` instead, so the stall
+rule cannot end the sum early: it runs to the walk's first empty shell,
+where the generator ends, and the value is backend-exact
+(``terminated_exactly``).  A support that reaches past the degree cap falls
+back to the stall rule.
 
 ``eval_pfq`` is the ordinary generalized hypergeometric series.  It is the
 triple series with every parameter in the two m1-only families (``c``, ``h``)
@@ -73,13 +77,10 @@ from .numerics import (
     classify_backend,
 )
 from .params import (
-    DENOMINATOR_FAMILIES,
-    FAMILIES,
     FAMILY_COMBO,
     NUMERATOR_FAMILIES,
     ParameterSet,
     families_along,
-    order_excess,
     parse_number,
     termination_bound,
 )
@@ -169,43 +170,30 @@ def _direction_plan(
     return upstairs, downstairs, x
 
 
-# Per set of live directions, bit d set when argument d is nonzero: the
-# downstairs families whose Pochhammer order moves along at least one of them.
-_LIVE_DOWNSTAIRS = tuple(
-    tuple(
-        name for name in DENOMINATOR_FAMILIES
-        if any(FAMILY_COMBO[name][d] for d in range(3) if live >> d & 1)
-    )
-    for live in range(8)
-)
-
-
-def _shell_factors(ps: ParameterSet, plans: List[Optional[tuple]]) -> Iterator[int]:
+def _shell_factors(plans: List[Optional[tuple]]) -> Iterator[int]:
     """Yield ``K_s`` for s = 1, 2, ...: the exact walk's shell denominators
     are ``D_0 = 1`` and ``D_s = D_{s-1} * K_s``.
 
-    ``K_s = B * s * prod (p + (s-1)*q)``, where ``B`` is the lcm of the live
-    directions' folded argument denominators and the product runs over the
-    entries ``p/q`` of every downstairs family moving along a live direction,
-    with a zero factor skipped.  A point m of shell s has total degree s and
-    every Pochhammer order at most s, so its term's denominator, which holds
-    at most ``B^s``, ``m!`` and the downstairs factors ``p + k*q`` for k below
-    each order, divides ``D_s``: every term of the shell is an integer over
-    ``D_s``.  A skipped zero factor is a pole no point reached, since the
-    step raises DenominatorPoleError at the point that reaches one.  A
-    negative entry gives negative factors while ``p + (s-1)*q < 0``, so
-    ``K_s`` and ``D_s`` may be negative; a reader takes ``|D_s|``.
+    ``K_s = B * s * prod (p + (s-1)*q)``, read from the live plans (nonzero
+    argument): ``B`` is the lcm of their folded argument denominators, and
+    the product runs over their downstairs entries ``p/q``, each taken once
+    by ``(family, j)`` although a family moving along two live directions
+    sits in both plans, with a zero factor skipped.  A point m of shell s has
+    total degree s and every Pochhammer order at most s, so its term's
+    denominator, which holds at most ``B^s``, ``m!`` and the downstairs
+    factors ``p + k*q`` for k below each order, divides ``D_s``: every term
+    of the shell is an integer over ``D_s``.  A skipped zero factor is a pole
+    no point reached, since the step raises DenominatorPoleError at the point
+    that reaches one.  A negative entry gives negative factors while
+    ``p + (s-1)*q < 0``, so ``K_s`` and ``D_s`` may be negative; a reader
+    takes ``|D_s|``.
     """
-    live = 0
-    denominators = []
-    for d, plan in enumerate(plans):
-        if plan is not None:
-            live |= 1 << d
-            denominators.append(plan[2][1])
-    base = lcm(*denominators)
-    downstairs = [
-        v.as_integer_ratio() for name in _LIVE_DOWNSTAIRS[live] for v in getattr(ps, name)
-    ]
+    live = [plan for plan in plans if plan is not None]
+    base = lcm(*(x[1] for _, _, x in live))
+    downstairs = {
+        (name, j): v.as_integer_ratio()
+        for _, down, _ in live for _, _, _, _, name, j, v in down
+    }.values()
     for s in itertools.count(1):
         k = base * s
         for p, q in downstairs:
@@ -222,9 +210,11 @@ def _shell_sums(
 ) -> Iterator[Term]:
     """Yield the sum of each shell s = 0, 1, 2, ... of the lattice walk.
 
-    ``plans[d]`` is None where argument d is zero, which keeps the walk off
-    that direction.  The generator returns at the first empty shell: the
-    support is a lower set, so every later shell is empty too.
+    A point m is in the support when ``c1*m1 + c2*m2 + c3*m3 <= bound`` for
+    every cut.  A zero argument x_d is the cut ``m_d <= 0``, so the walk
+    never steps along d, where ``plans[d]`` is None.  The generator returns
+    at the first empty shell: the support is a lower set, so every later
+    shell is empty too.
 
     Both backends share the step; the backend only decides how a term is
     stored.  In float64, ``shell_factors`` is None, a term is a float, and
@@ -238,7 +228,6 @@ def _shell_sums(
     denominator ``D_s``.
     """
     exact = shell_factors is not None
-    z1, z2, z3 = (plan is None for plan in plans)
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
     # or None where the point lies outside the support.
     prev: List[List[object]] = [[1]]
@@ -254,7 +243,7 @@ def _shell_sums(
             cur.append(row)
             for m2 in range(s - m1 + 1):
                 m3 = s - m1 - m2
-                outside = (z1 and m1) or (z2 and m2) or (z3 and m3)
+                outside = False
                 for c1, c2, c3, bound in cuts:
                     if c1 * m1 + c2 * m2 + c3 * m3 > bound:
                         outside = True
@@ -309,34 +298,39 @@ def _shell_sums(
         yield (shell_sum, k_s) if exact else shell_sum
 
 
-def _top_shell(plans: List[Optional[tuple]], cuts: List[tuple], cap: int) -> Optional[int]:
+def _top_shell(cuts: List[tuple], cap: int) -> Optional[int]:
     """A bound on m1 + m2 + m3 over the support, for ``adaptive_sum``'s
     ``exact_bound``; None when the support is infinite or reaches past ``cap``.
 
-    Only live directions (nonzero argument) count.  Their cut bounds add up
-    to a bound, and a cut that moves with every live direction bounds the sum
-    by itself.  When neither fits under the cap, the support, a lower set,
-    ends by the cap exactly when shell cap + 1 holds none of its points.
+    Along each direction the least cut moving with it bounds m_d (a zero
+    argument's cut at 0).  These bounds add up to a total that bounds the
+    sum, and so does a cut whose weights pick up that whole total: it moves
+    with every direction not bounded at 0.  When neither fits under the cap,
+    the support, a lower set, ends by the cap exactly when shell cap + 1
+    holds none of its points.
     """
-    live = [d for d, plan in enumerate(plans) if plan is not None]
-    total = 0
-    for d in live:
+    bounds = []
+    for d in range(3):
         along = [cut[3] for cut in cuts if cut[d]]
         if not along:
             return None
-        total += min(along)
-    top = min([total] + [cut[3] for cut in cuts if all(cut[d] for d in live)])
+        bounds.append(min(along))
+    total = sum(bounds)
+    b1, b2, b3 = bounds
+    top = min([total] + [b for c1, c2, c3, b in cuts if c1 * b1 + c2 * b2 + c3 * b3 == total])
     if top <= cap:
         return top
     s = cap + 1
-    for m1 in range(s + 1) if 0 in live else (0,):
-        for m2 in range(s - m1 + 1) if 1 in live else (0,):
+    for m1 in range(s + 1):
+        for m2 in range(s - m1 + 1):
             m3 = s - m1 - m2
-            if (2 in live or not m3) and all(
-                c1 * m1 + c2 * m2 + c3 * m3 <= b for c1, c2, c3, b in cuts
-            ):
+            if all(c1 * m1 + c2 * m2 + c3 * m3 <= b for c1, c2, c3, b in cuts):
                 return None
     return cap
+
+
+# The cut m_d <= 0 of a zero argument x_d, per direction d.
+_AXIS_CUTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
 def _walk(
@@ -345,19 +339,20 @@ def _walk(
     """Compile one call's walk: ``(plans, cuts, shell sums)``, the last a
     generator that has not yet stepped."""
     exact = classify_backend(ps.representatives + (args.x1, args.x2, args.x3)) != FLOAT64
-    # A zero argument keeps the walk off its direction, which needs no plan.
     plans = [
         None if x == 0 else _direction_plan(ps, d, x, exact) for d, x in enumerate(args)
     ]
-    # Each upstairs family with a nonpositive-integer entry cuts the support.
-    cuts = []
+    # A zero argument cuts its direction to m_d = 0 and needs no plan.  These
+    # cuts come first: most points a walk rejects, it rejects by them.  Each
+    # upstairs family with a nonpositive-integer entry cuts the support too.
+    cuts = [_AXIS_CUTS[d] for d, plan in enumerate(plans) if plan is None]
     for name in NUMERATOR_FAMILIES:
         values = getattr(ps, name)
         if values:
             bound = termination_bound(values)
             if bound is not None:
                 cuts.append(FAMILY_COMBO[name] + (bound,))
-    factors = _shell_factors(ps, plans) if exact else None
+    factors = _shell_factors(plans) if exact else None
     return plans, cuts, _shell_sums(plans, cuts, factors)
 
 
@@ -373,13 +368,14 @@ def eval_f3(
     convergence is zero, returns its partial sum with ``converged`` False.
     """
     plans, cuts, shells = _walk(ps, args)
-    top = _top_shell(plans, cuts, policy.max_total_degree)
+    top = _top_shell(cuts, policy.max_total_degree)
     result = adaptive_sum(shells, policy, exact_bound=top)
     if top is None and result.converged:
-        # Along a live direction no cut bounds, terms grow like (m!)^(excess - 1).
-        lengths = {name: len(getattr(ps, name)) for name in FAMILIES}
-        if any(order_excess(lengths, d) > 1 for d, plan in enumerate(plans)
-               if plan is not None and not any(cut[d] for cut in cuts)):
+        # A direction no cut bounds is live (a zero argument is a cut), and
+        # along it terms grow like (m!)^(excess - 1), where the excess is its
+        # plan's upstairs entries less its downstairs ones: order_excess(d).
+        if any(len(plans[d][0]) - len(plans[d][1]) > 1 for d in range(3)
+               if not any(cut[d] for cut in cuts)):
             return replace(result, converged=False)
     return result
 

@@ -724,9 +724,10 @@ def _lhs_value(
     policy: TruncationPolicy,
     outer_policy: TruncationPolicy,
     bound: Optional[int],
-) -> Tuple[Number, EvaluationResult]:
-    """Outer weighted sum of shifted evaluations, with joint diagnostics;
-    ``bound`` is the weight's last nonzero k, or None."""
+) -> EvaluationResult:
+    """Outer weighted sum of shifted evaluations, with joint diagnostics:
+    converged and terminated_exactly only when the outer sum and every inner
+    evaluation are.  ``bound`` is the weight's last nonzero k, or None."""
     inner_args = rule.lhs_args(inst)
     inner_results: List[EvaluationResult] = []
 
@@ -742,18 +743,12 @@ def _lhs_value(
         return w * res.value
 
     outer = adaptive_sum(map(term, itertools.count()), outer_policy, exact_bound=bound)
-    converged = outer.converged and all(r.converged for r in inner_results)
-    terminated = outer.terminated_exactly and all(
-        r.terminated_exactly for r in inner_results
+    return replace(
+        outer,
+        converged=outer.converged and all(r.converged for r in inner_results),
+        terminated_exactly=outer.terminated_exactly
+        and all(r.terminated_exactly for r in inner_results),
     )
-    diag = EvaluationResult(
-        value=outer.value,
-        shells_used=outer.shells_used,
-        last_shell_magnitude=outer.last_shell_magnitude,
-        converged=converged,
-        terminated_exactly=terminated,
-    )
-    return outer.value, diag
 
 
 def _relative_residual(lhs: Number, rhs: Number) -> Number:
@@ -801,7 +796,7 @@ def check_identity(
             )
 
     try:
-        lhs, lhs_diag = _lhs_value(rule, inst, policy, outer_policy, bound)
+        lhs_diag = _lhs_value(rule, inst, policy, outer_policy, bound)
         prefactor = rule.rhs_prefactor(inst)
         rhs_diag = eval_f3(rule.rhs_params(inst), rule.rhs_args(inst), policy)
         rhs = prefactor * rhs_diag.value
@@ -812,14 +807,14 @@ def check_identity(
             reason=f"{type(exc).__name__}: {exc}",
         )
 
-    residual = _relative_residual(lhs, rhs)
+    residual = _relative_residual(lhs_diag.value, rhs)
     passed = bool(
         lhs_diag.converged and rhs_diag.converged and residual <= residual_tol
     )
     return CheckReport(
         identity_id=inst.identity_id,
         passed=passed,
-        lhs=lhs,
+        lhs=lhs_diag.value,
         rhs=rhs,
         residual=magnitude_as_float(residual),
         lhs_diag=lhs_diag,

@@ -130,12 +130,6 @@ class ParameterSet:
             raise InvalidIndexError(f"unknown parameter family {name!r}")
         return getattr(self, name)
 
-    def all_entries(self) -> List[Number]:
-        out: List[Number] = []
-        for name in FAMILIES:
-            out.extend(getattr(self, name))
-        return out
-
     def to_json_dict(self) -> Dict[str, list]:
         """Plain-JSON form; Fractions become 'p/q' strings, empty families are
         omitted."""

@@ -23,6 +23,18 @@ T1A_INSTANCE = {
 }
 
 
+def strict_json(text):
+    """Parse ``text`` as strict JSON: a bare NaN, Infinity or -Infinity,
+    which Python's own reader accepts, fails the test."""
+    def refuse(constant):
+        raise AssertionError(f"bare {constant} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+OVERFLOWING_PARAMS = {"a": [1e300], "e": [1e-300]}
+
+
 def child_env():
     """The environment for a CLI child process: ``PYTHONPATH`` starts with
     the absolute directory holding the ``f3sum`` package this process
@@ -94,6 +106,20 @@ class TestEval:
         assert out["converged"] is False
         assert out["shells_used"] == 6
 
+    def test_overflow_prints_strict_json(self):
+        # The shells overflow to inf: the value is printed as the string
+        # "inf", not as a bare Infinity a strict JSON reader refuses.
+        proc = run_cli(
+            "eval",
+            "--params", json.dumps(OVERFLOWING_PARAMS),
+            "--args", "[0.9, 0.9, 0.9]",
+        )
+        assert proc.returncode == 2
+        out = strict_json(proc.stdout)
+        assert out["value"] == "inf"
+        assert out["last_shell_magnitude"] == "inf"
+        assert out["converged"] is False
+
     def test_unknown_family_exit_code(self):
         proc = run_cli("eval", "--params", '{"zz": [1]}', "--args", "[0, 0, 0]")
         assert proc.returncode == 1
@@ -153,6 +179,19 @@ class TestCheck:
         out = json.loads(proc.stdout)
         assert out["converged_lhs"] and out["converged_rhs"]
         assert not out["pass"]
+
+    def test_overflow_prints_strict_json(self):
+        inst = {
+            "id": "T2x1",
+            "params": OVERFLOWING_PARAMS,
+            "args": [0.9, 0.9, 0.9],
+            "scalars": {"t": 0.01},
+        }
+        proc = run_cli("check", "--json", json.dumps(inst))
+        assert proc.returncode == 2
+        out = strict_json(proc.stdout)
+        assert (out["lhs"], out["rhs"], out["residual"]) == ("inf", "inf", "nan")
+        assert out["pass"] is False
 
     def test_unknown_identity(self):
         proc = run_cli("check", "--json", '{"id": "T0", "params": {}, "args": [0,0,0]}')

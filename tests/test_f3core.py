@@ -26,7 +26,7 @@ from f3sum import (
     pochhammer,
     pochhammer_product,
 )
-from f3sum.f3core import _direction_plan, _walk
+from f3sum.f3core import _direction_plan, _shell_factors, _walk
 from f3sum.params import families_along, order_excess
 
 
@@ -235,7 +235,12 @@ class TestEvalF3:
         # support point, so the support ends by the cap (at shell 20).
         (ParameterSet(b=(-10,), cpp=(-10,)), (X6, X6, X6), 21,
          (1 - 2 * X6) ** 10 * (1 - X6) ** 10),
-    ], ids=["c-along-x1", "a-all-directions", "b-pair-and-cpp"])
+        # The per-direction bounds again add up to 30, past the cap.  x3 = 0
+        # is the cut m3 <= 0, so the cpp cut may not let m3 reach 20, and the
+        # b cut, which moves with both live directions, ends the support at
+        # shell 15.
+        (ParameterSet(b=(-15,), cpp=(-20,)), (X6, X6, 0), 16, (1 - 2 * X6) ** 15),
+    ], ids=["c-along-x1", "a-all-directions", "b-pair-and-cpp", "b-pair-x3-zero"])
     def test_finite_support_outlasts_the_stall_rule(self, ps, args, shells, exact):
         res = eval_f3(ps, ArgumentTriple(*args))
         assert res.terminated_exactly
@@ -700,3 +705,14 @@ def test_exact_argument_pair_is_reduced(sign):
     assert math.gcd(num, den) == 1
     assert Fraction(num, den) == x * 7**3 / 7**2
     assert (num, den) == (sign * 3, 2)
+
+
+def test_shell_factors_take_each_live_downstairs_entry_once():
+    # g moves along both live directions and sits in both plans, yet enters
+    # K_s once (twice would give K_1 = 60); hpp moves only along the dead m3
+    # and stays out (it would give K_1 = 90).  B = lcm(3, 5) = 15, and
+    # K_s = 15 * s * (2 + 7*(s-1)).  No value shows either mistake.
+    ps = ParameterSet(g=(Fraction(2, 7),), hpp=(Fraction(3, 7),))
+    plans = _walk(ps, ArgumentTriple(Fraction(1, 3), Fraction(1, 5), 0))[0]
+    factors = _shell_factors(plans)
+    assert [next(factors) for _ in range(3)] == [30, 270, 720]

@@ -92,7 +92,6 @@ class TestFamilyLayout:
 class TestParameterSet:
     def test_empty_is_valid(self):
         ps = ParameterSet()
-        assert ps.all_entries() == []
         assert ps.backend == RATIONAL
 
     def test_lists_become_tuples(self):
