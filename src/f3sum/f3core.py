@@ -11,35 +11,38 @@ recurrence, so a shell costs one multiply-divide per lattice point instead of
 a full coefficient rebuild.
 
 Each call compiles the walk once before summing, into its one reading of
-the families.  Per live lattice direction (nonzero argument) a flat factor
-plan lists every parameter entry whose Pochhammer order moves with a step
-along it, with its family's FAMILY_COMBO weights.  The support is a list of
-linear cuts: a zero argument x_d is the cut m_d <= 0, and each upstairs
-termination bound is a cut too.  The walk, the exact shell denominators, the
-top-shell bound and the zero-radius test all read these plans and cuts.
-Each shell is a flat triangular list, ``shell[m1][m2]`` for the point
-(m1, m2, s - m1 - m2), so a term finds its predecessor by index, and the
-walk itself looks up no family by name.
+the families.  Along each lattice direction exactly four FAMILY_COMBO rows
+move; per live direction (nonzero argument) a flat factor plan lists every
+parameter entry whose Pochhammer order moves with a step along it, with its
+family's slot, the index of its row among those four.  A step computes the
+four orders at its predecessor once, and each entry reads its own by slot.
+The support is a list of linear cuts: a zero argument x_d is the cut
+m_d <= 0, and each upstairs termination bound is a cut too.  The walk, the
+exact shell denominators, the top-shell bound and the zero-radius test all
+read these plans and cuts.  Each shell is a flat triangular list,
+``shell[m1][m2]`` for the point (m1, m2, s - m1 - m2), so a term finds its
+predecessor by index, and the walk itself looks up no family by name.  The
+cuts leave each row m1 of a shell one span of m2, computed once per row, so
+the walk visits only the support's points and tests none of them.
 
-The backend, classified once, sets how a term starts and how it is stored;
-the step between is one loop for both.  Every entry ``v = p/q`` enters its
-plan as ``p`` with its weights multiplied by ``q``, so its step factor
-``p + (q*w).order`` is ``q * (v + order)``, zero exactly when ``v + order``
-is.  In float64, ``p = v`` and ``q = 1``: a term is a float, the step
-multiplies the upstairs factors into ``term * x``, the downstairs ones into
-``m_d``, and divides once.  In the rational backend ``p/q`` is the entry's
-reduced fraction, so every factor is an int, and the ``q``s of a direction
-fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``,
-reduced once per call.  Every term of shell s is then an integer over one
-shell denominator ``D_s = D_{s-1} * K_s``: ``K_s``, read from the plans, is
-the lcm of their folded argument denominators, times ``s``, times
-``p + (s-1)*q`` for each downstairs entry of a plan, taken once (a zero
-factor skipped), so ``D_s`` holds every denominator a term of the shell can
-have.  A negative downstairs entry can make ``K_s``, and so ``D_s``,
-negative.  A step stores ``N = term * D_s`` as
-``N_pred * (num * K_s) // den``, an exact division, and a shell is yielded
-as the int pair ``(N_s, K_s)``, ``N_s`` its plain int sum.  No point pays a
-``gcd``, and no shell builds a ``Fraction``.
+The backend, classified once, sets how a term starts and how it is stored.
+Every entry ``v = p/q`` enters its plan as ``(k, q, p)``, so its step factor
+``p + q*orders[k]`` is ``q * (v + order)``, zero exactly when ``v + order``
+is.  In float64, ``p = v`` and ``q = 1``, so the factor is ``v + order``: a
+term is a float, the step multiplies the upstairs factors into ``term * x``,
+the downstairs ones into ``m_d``, and divides once.  In the rational backend
+``p/q`` is the entry's reduced fraction, so every factor is an int, and the
+``q``s of a direction fold into its argument as
+``(x.num * prod q_down, x.den * prod q_up)``, reduced once per call.
+Every term of shell s is then an integer over one shell denominator
+``D_s = D_{s-1} * K_s``: ``K_s``, read from the plans, is the lcm of their
+folded argument denominators, times ``s``, times ``p + (s-1)*q`` for each
+downstairs entry of a plan, taken once (a zero factor skipped), so ``D_s``
+holds every denominator a term of the shell can have.  A negative
+downstairs entry can make ``K_s``, and so ``D_s``, negative.  A step stores
+``N = term * D_s`` as ``N_pred * (num * K_s) // den``, an exact division,
+and a shell is yielded as the int pair ``(N_s, K_s)``, ``N_s`` its plain int
+sum.  No point pays a ``gcd``, and no shell builds a ``Fraction``.
 
 The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
 draws them, up to the degree cap and no further, and adds them up under the
@@ -110,11 +113,18 @@ def arguments_from_json(raw: Sequence, backend: str) -> ArgumentTriple:
     return ArgumentTriple(x1, x2, x3)
 
 
+# Per lattice direction d, the four FAMILY_COMBO rows that move with it,
+# sorted: (0,0,1), (0,1,1), (1,0,1), (1,1,1) along m3.  A family's slot is its
+# row's index here, and a step computes the four rows' orders once.
+_DIRECTION_ROWS = tuple(
+    sorted({w for w in FAMILY_COMBO.values() if w[d]}) for d in range(3)
+)
+
 # Per lattice direction, the families whose Pochhammer order steps along it
-# with their FAMILY_COMBO rows, split into (upstairs, downstairs).
+# with their slots, split into (upstairs, downstairs).
 _DIRECTION_FAMILIES = tuple(
     tuple(
-        tuple((name, FAMILY_COMBO[name]) for name in names)
+        tuple((name, _DIRECTION_ROWS[d].index(FAMILY_COMBO[name])) for name in names)
         for names in families_along(d)
     )
     for d in range(3)
@@ -128,11 +138,11 @@ def _direction_plan(
 
     Returns ``(upstairs, downstairs, x)``.  Each entry ``v`` is written as
     ``p/q``: ``p = v`` and ``q = 1`` in float64, numerator and denominator
-    with ``exact`` set.  Its weights, the family's FAMILY_COMBO row, are
-    pre-multiplied by ``q``, so its step factor ``p + (q*w).order`` is
-    ``q * (v + order)``, an int in the rational backend.  Upstairs entries
-    are ``(q*w1, q*w2, q*w3, p)`` and downstairs entries
-    ``(q*w1, q*w2, q*w3, p, family, j, v)``, ``j`` the 1-based entry index.
+    with ``exact`` set.  Its family's slot ``k`` indexes the four Pochhammer
+    orders a step along the direction computes at its predecessor, so its
+    step factor ``p + q*orders[k]`` is ``q * (v + order)``, an int in the
+    rational backend.  Upstairs entries are ``(k, q, p)`` and downstairs
+    entries ``(k, q, p, family, j, v)``, ``j`` the 1-based entry index.
     Empty families are skipped; the others keep their families_along order
     and entries their family order, because the float product depends on it.
 
@@ -145,21 +155,21 @@ def _direction_plan(
     up_families, down_families = _DIRECTION_FAMILIES[direction]
     upstairs = []
     q_up = 1
-    for name, (w1, w2, w3) in up_families:
+    for name, k in up_families:
         values = getattr(ps, name)
         if values:
             for v in values:
                 p, q = v.as_integer_ratio() if exact else (v, 1)
-                upstairs.append((q * w1, q * w2, q * w3, p))
+                upstairs.append((k, q, p))
                 q_up *= q
     downstairs = []
     q_down = 1
-    for name, (w1, w2, w3) in down_families:
+    for name, k in down_families:
         values = getattr(ps, name)
         if values:
             for j, v in enumerate(values, start=1):
                 p, q = v.as_integer_ratio() if exact else (v, 1)
-                downstairs.append((q * w1, q * w2, q * w3, p, name, j, v))
+                downstairs.append((k, q, p, name, j, v))
                 q_down *= q
     if exact:
         n, d = x.as_integer_ratio()
@@ -192,7 +202,7 @@ def _shell_factors(plans: List[Optional[tuple]]) -> Iterator[int]:
     base = lcm(*(x[1] for _, _, x in live))
     downstairs = {
         (name, j): v.as_integer_ratio()
-        for _, down, _ in live for _, _, _, _, name, j, v in down
+        for _, down, _ in live for _, _, _, name, j, v in down
     }.values()
     for s in itertools.count(1):
         k = base * s
@@ -201,6 +211,42 @@ def _shell_factors(plans: List[Optional[tuple]]) -> Iterator[int]:
             if factor:
                 k *= factor
         yield k
+
+
+def _row_spans(cuts: List[tuple], s: int) -> List[Tuple[int, int, int]]:
+    """The support on shell s, as ``(m1, lo, hi)`` per row m1 that it meets:
+    the points ``(m1, m2, s - m1 - m2)`` with ``lo <= m2 <= hi``.
+
+    Along row m1, m3 = s - m1 - m2, so a cut ``(c1, c2, c3, b)`` reads
+    ``(c2 - c3)*m2 <= b - c1*m1 - c3*(s - m1)``.  Its weights are 0 or 1, so
+    it bounds m2 from above, from below, or holds for the whole row or none
+    of it, and the cuts together leave each row one interval.
+    """
+    spans = []
+    for m1 in range(s + 1):
+        lo, hi = 0, s - m1
+        for c1, c2, c3, b in cuts:
+            room = b - c1 * m1 - c3 * (s - m1)
+            if c2 > c3:
+                if room < hi:
+                    hi = room
+            elif c2 < c3:
+                if -room > lo:
+                    lo = -room
+            elif room < 0:
+                hi = -1
+        if lo <= hi:
+            spans.append((m1, lo, hi))
+    return spans
+
+
+def _pole_error(name: str, j: int, entry: Number, order: int) -> DenominatorPoleError:
+    """The error of a downstairs entry whose factor vanishes on a step from
+    Pochhammer order ``order``."""
+    return DenominatorPoleError(
+        f"downstairs entry {name}[{j}] = {entry!r} vanishes at "
+        f"Pochhammer order {order + 1}"
+    )
 
 
 def _shell_sums(
@@ -212,15 +258,22 @@ def _shell_sums(
 
     A point m is in the support when ``c1*m1 + c2*m2 + c3*m3 <= bound`` for
     every cut.  A zero argument x_d is the cut ``m_d <= 0``, so the walk
-    never steps along d, where ``plans[d]`` is None.  The generator returns
-    at the first empty shell: the support is a lower set, so every later
-    shell is empty too.
+    never steps along d, where ``plans[d]`` is None.  Each shell is read as
+    the :func:`_row_spans` of the cuts, so only the support's points are
+    stepped.  The generator returns at the first empty shell: the support is
+    a lower set, so every later shell is empty too.
 
-    Both backends share the step; the backend only decides how a term is
-    stored.  In float64, ``shell_factors`` is None, a term is a float, and
-    each step divides once.  In the rational backend ``shell_factors``
-    yields the ``K_s`` of :func:`_shell_factors`, and each term of shell s
-    is the int ``N = term * D_s``.  A step is then
+    A step along m_d reads its predecessor's four orders, in the slot order
+    of :data:`_DIRECTION_ROWS`, once: ``(m3-1, s-m1-1, m1+m3-1, s-1)`` along
+    m3, ``(m2-1, m2-1, s-1, s-1)`` along m2 (where m3 = 0), and ``s-1`` four
+    times along m1 (where m2 = m3 = 0).  An entry ``(k, q, p)`` then steps
+    by the factor ``p + q*orders[k]``.
+
+    The backend only decides how a term is stored; both branches multiply
+    the same factors in the same order.  In float64, ``shell_factors`` is
+    None, a term is a float, and each step divides once.  In the rational
+    backend ``shell_factors`` yields the ``K_s`` of :func:`_shell_factors`,
+    and each term of shell s is the int ``N = term * D_s``.  A step is then
     ``N = N_pred * (num * K_s) // den``, an exact division, with one
     multiply of the big ``N_pred``.  Shell 0 is the int 1 in both backends;
     every later exact shell is yielded as ``(N_s, K_s)``, its int sum and
@@ -229,71 +282,67 @@ def _shell_sums(
     """
     exact = shell_factors is not None
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
-    # or None where the point lies outside the support.
-    prev: List[List[object]] = [[1]]
+    # None below its row's span; a row the cuts empty is None.
+    prev: List[Optional[List[object]]] = [[1]]
     yield 1
     for s in itertools.count(1):
-        cur: List[List[object]] = []
+        spans = _row_spans(cuts, s)
+        if not spans:
+            return
+        cur: List[Optional[List[object]]] = [None] * (s + 1)
         shell_sum: Number = 0
         if exact:
             k_s = next(shell_factors)
-        visited = False
-        for m1 in range(s + 1):
-            row: List[object] = []
-            cur.append(row)
-            for m2 in range(s - m1 + 1):
+        for m1, lo, hi in spans:
+            cur[m1] = row = [None] * lo
+            for m2 in range(lo, hi + 1):
+                # Step from the predecessor in the previous shell.  The
+                # support is a lower set, so that predecessor is in it.  The
+                # step multiplies in x, divides by the new factorial factor
+                # m_d (den's start), and every family whose order moves with
+                # it contributes one fresh linear factor.  orders holds the
+                # predecessor's order in each of the direction's four rows.
                 m3 = s - m1 - m2
-                outside = False
-                for c1, c2, c3, bound in cuts:
-                    if c1 * m1 + c2 * m2 + c3 * m3 > bound:
-                        outside = True
-                        break
-                if outside:
-                    row.append(None)
-                    continue
-                # Step from the predecessor (p1, p2, p3) in the previous
-                # shell.  The support is a lower set, so that predecessor is
-                # in it.  The step multiplies in x, divides by the new
-                # factorial factor m_d (den's start), and every family whose
-                # order moves with it contributes one fresh linear factor.
                 if m3:
-                    p1, p2, p3, den = m1, m2, m3 - 1, m3
+                    orders = (m3 - 1, s - m1 - 1, m1 + m3 - 1, s - 1)
+                    den = m3
                     up, down, x = plans[2]
                     value = prev[m1][m2]
                 elif m2:
-                    p1, p2, p3, den = m1, m2 - 1, 0, m2
+                    orders = (m2 - 1, m2 - 1, s - 1, s - 1)
+                    den = m2
                     up, down, x = plans[1]
                     value = prev[m1][m2 - 1]
                 else:
-                    p1, p2, p3, den = m1 - 1, 0, 0, m1
+                    orders = (s - 1, s - 1, s - 1, s - 1)
+                    den = m1
                     up, down, x = plans[0]
                     value = prev[m1 - 1][0]
-                visited = True
                 if exact:
                     # Small factors first; the big term takes them last.
                     num, xd = x
                     den = den * xd
-                else:
-                    num = value * x
-                for w1, w2, w3, v in up:
-                    num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
-                for w1, w2, w3, v, name, j, entry in down:
-                    factor = v + (w1 * p1 + w2 * p2 + w3 * p3)
-                    if factor == 0:
-                        c1, c2, c3 = FAMILY_COMBO[name]
-                        raise DenominatorPoleError(
-                            f"downstairs entry {name}[{j}] = {entry!r} vanishes at "
-                            f"Pochhammer order {c1 * p1 + c2 * p2 + c3 * p3 + 1}"
-                        )
-                    den = den * factor
-                if exact:
+                    for k, q, p in up:
+                        num = num * (p + q * orders[k])
+                    for k, q, p, name, j, entry in down:
+                        factor = p + q * orders[k]
+                        if factor == 0:
+                            raise _pole_error(name, j, entry, orders[k])
+                        den = den * factor
                     value = value * (num * k_s) // den
                 else:
+                    # q is 1: the factor is v + order, as in the exact branch.
+                    num = value * x
+                    for k, _, v in up:
+                        num = num * (v + orders[k])
+                    for k, _, v, name, j, entry in down:
+                        factor = v + orders[k]
+                        if factor == 0:
+                            raise _pole_error(name, j, entry, orders[k])
+                        den = den * factor
                     value = num / den
                 row.append(value)
                 shell_sum = shell_sum + value
-        if not visited:
-            return
         prev = cur
         yield (shell_sum, k_s) if exact else shell_sum
 
@@ -307,7 +356,7 @@ def _top_shell(cuts: List[tuple], cap: int) -> Optional[int]:
     sum, and so does a cut whose weights pick up that whole total: it moves
     with every direction not bounded at 0.  When neither fits under the cap,
     the support, a lower set, ends by the cap exactly when shell cap + 1
-    holds none of its points.
+    holds none of its points, which the walk's :func:`_row_spans` tell.
     """
     bounds = []
     for d in range(3):
@@ -320,13 +369,7 @@ def _top_shell(cuts: List[tuple], cap: int) -> Optional[int]:
     top = min([total] + [b for c1, c2, c3, b in cuts if c1 * b1 + c2 * b2 + c3 * b3 == total])
     if top <= cap:
         return top
-    s = cap + 1
-    for m1 in range(s + 1):
-        for m2 in range(s - m1 + 1):
-            m3 = s - m1 - m2
-            if all(c1 * m1 + c2 * m2 + c3 * m3 <= b for c1, c2, c3, b in cuts):
-                return None
-    return cap
+    return None if _row_spans(cuts, cap + 1) else cap
 
 
 # The cut m_d <= 0 of a zero argument x_d, per direction d.

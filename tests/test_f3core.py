@@ -26,8 +26,8 @@ from f3sum import (
     pochhammer,
     pochhammer_product,
 )
-from f3sum.f3core import _direction_plan, _shell_factors, _walk
-from f3sum.params import families_along, order_excess
+from f3sum.f3core import _AXIS_CUTS, _direction_plan, _row_spans, _shell_factors, _walk
+from f3sum.params import families_along, order_excess, termination_bound
 
 
 def lambda_coeff(ps, m1, m2, m3):
@@ -716,3 +716,119 @@ def test_shell_factors_take_each_live_downstairs_entry_once():
     plans = _walk(ps, ArgumentTriple(Fraction(1, 3), Fraction(1, 5), 0))[0]
     factors = _shell_factors(plans)
     assert [next(factors) for _ in range(3)] == [30, 270, 720]
+
+
+@st.composite
+def float_walk_cases(draw):
+    """A float parameter set, arguments and a shell count.  At most six
+    families are filled from positive floats; an upstairs family may get a
+    nonpositive integer (a cut), a downstairs one a nonpositive integer the
+    walk may reach (a pole), and an argument may be zero."""
+    fields = dict.fromkeys(FAMILY_COMBO, ())
+    entry = st.floats(0.3, 2.5)
+    for name in draw(st.sets(st.sampled_from(sorted(FAMILY_COMBO)), max_size=6)):
+        fields[name] = tuple(draw(st.lists(entry, min_size=1, max_size=2)))
+    for name in draw(st.sets(st.sampled_from(NUMERATOR_FAMILIES), max_size=3)):
+        fields[name] = draw(st.permutations(fields[name] + (-float(draw(st.integers(0, 5))),)))
+    if draw(st.booleans()):
+        pole = draw(st.sampled_from(DENOMINATOR_FAMILIES))
+        fields[pole] = draw(st.permutations(fields[pole] + (-float(draw(st.integers(0, 5))),)))
+    args = [draw(st.one_of(st.just(0.0), st.floats(-0.6, 0.6))) for _ in range(3)]
+    return ParameterSet(**fields), args, draw(st.integers(1, 8))
+
+
+def stepwise_float_shells(ps, args, shells):
+    """Shells 0..shells of the float walk, one plain step per point: each
+    entry's factor adds the dot product of its family's FAMILY_COMBO row
+    with the predecessor, and every point of the triangle is tested against
+    every cut.  Returns the shell sums and the
+    DenominatorPoleError text of a reached pole, or None."""
+    plans = []
+    for d, x in enumerate(args):
+        up, down = families_along(d)
+        plans.append((
+            [(FAMILY_COMBO[name], v) for name in up for v in getattr(ps, name)],
+            [(FAMILY_COMBO[name], v, name, j)
+             for name in down for j, v in enumerate(getattr(ps, name), start=1)],
+            x,
+        ))
+    cuts = [_AXIS_CUTS[d] for d, x in enumerate(args) if x == 0]
+    for name in NUMERATOR_FAMILIES:
+        bound = termination_bound(getattr(ps, name))
+        if bound is not None:
+            cuts.append(FAMILY_COMBO[name] + (bound,))
+    sums, prev = [1], [[1]]
+    for s in range(1, shells + 1):
+        cur, total = [], 0
+        for m1 in range(s + 1):
+            row = []
+            cur.append(row)
+            for m2 in range(s - m1 + 1):
+                m = (m1, m2, s - m1 - m2)
+                if any(c1 * m[0] + c2 * m[1] + c3 * m[2] > b for c1, c2, c3, b in cuts):
+                    row.append(None)
+                    continue
+                d = 2 if m[2] else 1 if m[1] else 0
+                p1, p2, p3 = pred = tuple(k - (i == d) for i, k in enumerate(m))
+                up, down, x = plans[d]
+                num = prev[pred[0]][pred[1]] * x
+                for (w1, w2, w3), v in up:
+                    num = num * (v + (w1 * p1 + w2 * p2 + w3 * p3))
+                den = m[d]
+                for (w1, w2, w3), v, name, j in down:
+                    factor = v + (w1 * p1 + w2 * p2 + w3 * p3)
+                    if factor == 0:
+                        return sums, (
+                            f"downstairs entry {name}[{j}] = {v!r} vanishes at "
+                            f"Pochhammer order {w1 * p1 + w2 * p2 + w3 * p3 + 1}"
+                        )
+                    den = den * factor
+                row.append(num / den)
+                total = total + row[-1]
+        if all(v is None for row in cur for v in row):
+            break
+        sums.append(total)
+        prev = cur
+    return sums, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_walk_cases())
+def test_float_walk_is_bit_identical_to_the_stepwise_walk(case):
+    # The walk reads each entry's order from its slot in the four orders of
+    # its direction, and each row's points from the cuts' span; neither may
+    # move a bit of any float.
+    ps, args, shells = case
+    expected, pole = stepwise_float_shells(ps, args, shells)
+    walk = _walk(ps, ArgumentTriple(*args))[2]
+    got = []
+    try:
+        for _ in range(shells + 1):
+            got.append(next(walk))
+    except StopIteration:
+        pass
+    except DenominatorPoleError as err:
+        assert str(err) == pole
+        pole = None
+    assert pole is None
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+# The axis cuts' rows are the rows of c, cp and cpp.
+_CUT_ROWS = sorted(set(FAMILY_COMBO.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CUT_ROWS), st.integers(0, 6)), max_size=5))
+def test_row_spans_are_the_points_every_cut_keeps(drawn):
+    cuts = [row + (bound,) for row, bound in drawn]
+    for s in range(13):
+        spans = {m1: (lo, hi) for m1, lo, hi in _row_spans(cuts, s)}
+        for m1 in range(s + 1):
+            kept = [m2 for m2 in range(s - m1 + 1)
+                    if all(c1 * m1 + c2 * m2 + c3 * (s - m1 - m2) <= b
+                           for c1, c2, c3, b in cuts)]
+            if kept:
+                lo, hi = spans.pop(m1)
+                assert kept == list(range(lo, hi + 1))
+        assert not spans
