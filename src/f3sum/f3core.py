@@ -102,9 +102,6 @@ class ArgumentTriple:
     def __iter__(self):
         return iter((self.x1, self.x2, self.x3))
 
-    def to_list(self) -> List[Number]:
-        return [self.x1, self.x2, self.x3]
-
 
 def arguments_from_json(raw: Sequence, backend: str) -> ArgumentTriple:
     if isinstance(raw, (str, bytes)) or not isinstance(raw, Sequence) or len(raw) != 3:
@@ -201,8 +198,7 @@ def _shell_factors(plans: List[Optional[tuple]]) -> Iterator[int]:
     live = [plan for plan in plans if plan is not None]
     base = lcm(*(x[1] for _, _, x in live))
     downstairs = {
-        (name, j): v.as_integer_ratio()
-        for _, down, _ in live for _, _, _, name, j, v in down
+        (name, j): (p, q) for _, down, _ in live for _, q, p, name, j, _ in down
     }.values()
     for s in itertools.count(1):
         k = base * s

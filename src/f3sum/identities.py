@@ -80,11 +80,10 @@ class IdentityInstance:
     scalars: Tuple[Tuple[str, Number], ...] = ()
 
     def __post_init__(self) -> None:
+        # Sorted by name in either form, so equal scalars give equal instances.
         raw = self.scalars
-        if isinstance(raw, Mapping):
-            object.__setattr__(self, "scalars", tuple(sorted(raw.items())))
-        elif not isinstance(raw, tuple):
-            object.__setattr__(self, "scalars", tuple(raw))
+        items = raw.items() if isinstance(raw, Mapping) else raw
+        object.__setattr__(self, "scalars", tuple(sorted(items)))
 
     def scalar(self, name: str) -> Number:
         for key, value in self.scalars:
@@ -410,7 +409,7 @@ def _rescaled(dirs: Sequence[int]) -> Callable[[IdentityInstance], ArgumentTripl
 
     def rhs_args(inst: IdentityInstance) -> ArgumentTriple:
         t = inst.scalar("t")
-        xs = inst.args.to_list()
+        xs = list(inst.args)
         for d in dirs:
             xs[d] = exact_div(xs[d], 1 - t)
         return ArgumentTriple(*xs)
@@ -422,7 +421,7 @@ def _translated(direction: int) -> Callable[[IdentityInstance], ArgumentTriple]:
     """The arguments with the one of ``direction`` moved by t."""
 
     def rhs_args(inst: IdentityInstance) -> ArgumentTriple:
-        xs = inst.args.to_list()
+        xs = list(inst.args)
         xs[direction] = xs[direction] + inst.scalar("t")
         return ArgumentTriple(*xs)
 

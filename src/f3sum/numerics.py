@@ -61,25 +61,6 @@ def classify_backend(values: Iterable[Number]) -> str:
     return FLOAT64 if has_float else RATIONAL
 
 
-def coerce_number(x: Number, backend: str) -> Number:
-    """Coerce one scalar into a backend.
-
-    Floats refuse to become rational: Fraction(0.1) silently means the binary
-    ratio 3602879701896397/36028797018963968, which is never what a decimal
-    input intended.  Parse decimal text into Fraction at the I/O layer instead.
-    """
-    if backend == FLOAT64:
-        return float(x)
-    if backend == RATIONAL:
-        if isinstance(x, float):
-            raise BackendMismatchError(
-                "refusing to coerce a float into the rational backend; "
-                "supply an int, a Fraction, or a 'p/q' string"
-            )
-        return x
-    raise InvalidInputError(f"unknown backend {backend!r}")
-
-
 def is_integer_valued(x: Number) -> bool:
     if isinstance(x, int):
         return True
@@ -166,10 +147,13 @@ class TruncationPolicy:
         # An infinite tol has no exact threshold to compare rational terms with.
         if not (0 < self.tol < math.inf):
             raise InvalidInputError(f"tol must be positive and finite, got {self.tol!r}")
-        if self.max_total_degree < 1:
-            raise InvalidInputError("max_total_degree must be >= 1")
-        if self.stall_window < 1:
-            raise InvalidInputError("stall_window must be >= 1")
+        # The cap bounds an islice, and a float window would act rounded up.
+        for name in ("max_total_degree", "stall_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidInputError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise InvalidInputError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .numerics import (
     RATIONAL,
     Number,
     classify_backend,
-    coerce_number,
     is_nonpositive_integer,
 )
 
@@ -103,11 +102,10 @@ class ParameterSet:
     h: Tuple[Number, ...] = ()
     hp: Tuple[Number, ...] = ()
     hpp: Tuple[Number, ...] = ()
-    # Set once in __post_init__: the backend of the entries, and the first
-    # float (float64) or Fraction (rational) entry, () for ints alone.  The
-    # entries never mix the two, so classify_backend over the representatives
-    # plus other scalars decides what it would over all entries plus them.
-    backend: str = field(init=False, repr=False, compare=False)
+    # Set once in __post_init__: the first float (float64) or Fraction
+    # (rational) entry, () for ints alone.  The entries never mix the two, so
+    # classify_backend over the representatives plus other scalars decides
+    # what it would over all entries plus them.
     representatives: Tuple[Number, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -119,10 +117,8 @@ class ParameterSet:
                 object.__setattr__(self, name, values)
             entries.extend(values)
         # Raises BackendMismatchError on a float/Fraction mix.
-        backend = classify_backend(entries)
-        kind = float if backend == FLOAT64 else Fraction
+        kind = float if classify_backend(entries) == FLOAT64 else Fraction
         first = next((v for v in entries if isinstance(v, kind)), None)
-        object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "representatives", () if first is None else (first,))
 
     def family(self, name: str) -> Tuple[Number, ...]:
@@ -168,13 +164,17 @@ def parse_number(raw, backend: str) -> Number:
             value = raw
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse number {raw!r}") from exc
-    if backend == RATIONAL and isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
+    if backend == RATIONAL:
+        if isinstance(value, Fraction) and value.denominator == 1:
+            return int(value)
+        return value
+    if backend != FLOAT64:
+        raise InvalidInputError(f"unknown backend {backend!r}")
     try:
-        value = coerce_number(value, backend)
+        value = float(value)
     except OverflowError as exc:
         raise InvalidInputError("number outside the float64 range") from exc
-    if isinstance(value, float) and not math.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidInputError(f"not a finite number: {raw!r}")
     return value
 

@@ -30,12 +30,12 @@ from f3sum import (
     TruncationPolicy,
     check_identity,
     check_special_case,
-    combo_degree,
     eval_f3,
     eval_pfq,
     get_rule,
     special_params,
 )
+from f3sum.params import combo_degree
 from f3sum.suite import (
     LEMMA_NAMES,
     exact_instance,

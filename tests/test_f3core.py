@@ -19,15 +19,14 @@ from f3sum import (
     TruncationPolicy,
     adaptive_sum,
     arguments_from_json,
-    combo_degree,
     eval_f3,
     eval_pfq,
     exact_div,
     pochhammer,
-    pochhammer_product,
 )
 from f3sum.f3core import _AXIS_CUTS, _direction_plan, _row_spans, _shell_factors, _walk
-from f3sum.params import families_along, order_excess, termination_bound
+from f3sum.numerics import pochhammer_product
+from f3sum.params import combo_degree, families_along, order_excess, termination_bound
 
 
 def lambda_coeff(ps, m1, m2, m3):

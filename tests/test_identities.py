@@ -20,7 +20,6 @@ from f3sum import (
     ParameterSet,
     TruncationPolicy,
     check_identity,
-    dd_weight,
     get_rule,
     instance_from_json,
     instance_to_json,
@@ -28,6 +27,7 @@ from f3sum import (
     pochhammer,
     validate_instance,
 )
+from f3sum.identities import dd_weight
 from f3sum.suite import exact_instance
 
 TIGHT = TruncationPolicy(tol=1e-13, max_total_degree=34, stall_window=3)
@@ -440,6 +440,21 @@ class TestInstanceJson:
         )
         back = instance_from_json(instance_to_json(inst), backend="rational")
         assert back == inst
+
+    @pytest.mark.parametrize("scalars", [
+        (("t", 0.1), ("r", 0.3)),
+        [("t", 0.1), ("r", 0.3)],
+        {"t": 0.1, "r": 0.3},
+    ], ids=["tuple", "list", "dict"])
+    def test_scalars_sort_in_every_form(self, scalars):
+        # Equal scalars give equal instances whatever their form and order.
+        ps, idx = ParameterSet(a=(0.5,)), FamilyIndex("a", 1)
+        inst = IdentityInstance("T3a", ps, DENSE_ARGS, idx=idx, scalars=scalars)
+        want = IdentityInstance("T3a", ps, DENSE_ARGS, idx=idx, scalars={"r": 0.3, "t": 0.1})
+        assert inst.scalars == (("r", 0.3), ("t", 0.1))
+        assert inst == want
+        assert repr(inst) == repr(want)
+        assert hash(inst) == hash(want)
 
     def test_unknown_id(self):
         with pytest.raises(InvalidInstanceError):

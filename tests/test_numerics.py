@@ -18,14 +18,12 @@ from f3sum import (
     TruncationPolicy,
     adaptive_sum,
     classify_backend,
-    coerce_number,
     exact_div,
-    is_integer_valued,
     is_nonpositive_integer,
     number_pow,
     pochhammer,
-    pochhammer_product,
 )
+from f3sum.numerics import is_integer_valued, pochhammer_product
 
 
 class TestClassifyBackend:
@@ -51,27 +49,6 @@ class TestClassifyBackend:
             classify_backend(["1/2"])
         with pytest.raises(BackendMismatchError):
             classify_backend([1 + 2j])
-
-
-class TestCoerceNumber:
-    def test_int_passes_through(self):
-        assert coerce_number(3, FLOAT64) == 3
-        assert coerce_number(3, RATIONAL) == 3
-
-    def test_fraction_to_float_allowed(self):
-        assert coerce_number(Fraction(1, 2), FLOAT64) == 0.5
-
-    def test_float_to_rational_refused(self):
-        with pytest.raises(BackendMismatchError, match="p/q"):
-            coerce_number(0.5, RATIONAL)
-
-    def test_matching_backend(self):
-        assert coerce_number(0.25, FLOAT64) == 0.25
-        assert coerce_number(Fraction(2, 7), RATIONAL) == Fraction(2, 7)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidInputError, match="unknown backend 'decimal'"):
-            coerce_number(1, "decimal")
 
 
 class TestIntegerPredicates:
@@ -227,6 +204,14 @@ class TestTruncationPolicy:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
             TruncationPolicy(**kwargs)
+
+    @pytest.mark.parametrize("field", ["max_total_degree", "stall_window"])
+    @pytest.mark.parametrize("value", [3.5, 3.0, True, "3"])
+    def test_non_int_counts_rejected(self, field, value):
+        # A float cap would reach islice as a bare ValueError, not an
+        # F3Error, and a float window would act rounded up.
+        with pytest.raises(InvalidInputError, match=f"{field} must be an int"):
+            TruncationPolicy(**{field: value})
 
     def test_frozen(self):
         p = TruncationPolicy()

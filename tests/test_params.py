@@ -16,12 +16,12 @@ from f3sum import (
     NUMERATOR_FAMILIES,
     ParameterSet,
     RATIONAL,
-    combo_degree,
     get_rule,
-    entry_value,
     parameter_set_from_json,
 )
 from f3sum.params import (
+    combo_degree,
+    entry_value,
     families_along,
     format_number,
     in_support,
@@ -92,7 +92,7 @@ class TestFamilyLayout:
 class TestParameterSet:
     def test_empty_is_valid(self):
         ps = ParameterSet()
-        assert ps.backend == RATIONAL
+        assert ps.representatives == ()
 
     def test_lists_become_tuples(self):
         ps = ParameterSet(a=[1, 2], h=[3])
@@ -100,9 +100,10 @@ class TestParameterSet:
         assert ps.h == (3,)
 
     def test_backend_detection(self):
-        assert ParameterSet(a=(0.5,)).backend == FLOAT64
-        assert ParameterSet(a=(Fraction(1, 2),)).backend == RATIONAL
-        assert ParameterSet(a=(1,), e=(2,)).backend == RATIONAL
+        # The first entry of the deciding kind, () for ints alone.
+        assert ParameterSet(a=(2, 0.5), e=(0.25,)).representatives == (0.5,)
+        assert ParameterSet(a=(1, Fraction(1, 2))).representatives == (Fraction(1, 2),)
+        assert ParameterSet(a=(1,), e=(2,)).representatives == ()
 
     def test_backend_mix_rejected(self):
         with pytest.raises(BackendMismatchError):
@@ -135,6 +136,8 @@ class TestParseFormat:
     def test_parse_fraction_string(self):
         assert parse_number("3/7", RATIONAL) == Fraction(3, 7)
         assert parse_number("-2", RATIONAL) == -2
+        assert type(parse_number(3, RATIONAL)) is int
+        assert parse_number(3, RATIONAL) == 3
 
     def test_parse_decimal_text_rational(self):
         # decimal text means the printed decimal, not the float64 bit pattern
@@ -145,6 +148,9 @@ class TestParseFormat:
 
     def test_parse_float_backend(self):
         assert parse_number("0.5", FLOAT64) == 0.5
+        assert parse_number("1/2", FLOAT64) == 0.5
+        assert parse_number(0.25, FLOAT64) == 0.25
+        assert type(parse_number(3, FLOAT64)) is float
         assert parse_number(3, FLOAT64) == 3.0
 
     @pytest.mark.parametrize("raw", ["3/x", "1/0", True, None])
@@ -159,10 +165,14 @@ class TestParseFormat:
         (float("inf"), FLOAT64),
         (10**400, FLOAT64),
         ("1e400", FLOAT64),
+        (1, "decimal"),
+        ("1/2", "float"),
     ])
     def test_parse_rejects_values_outside_the_backend(self, raw, backend):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as info:
             parse_number(raw, backend)
+        if backend not in (FLOAT64, RATIONAL):
+            assert str(info.value) == f"unknown backend {backend!r}"
 
     def test_format_round_trip(self):
         assert format_number(Fraction(3, 7)) == "3/7"

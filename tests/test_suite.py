@@ -22,6 +22,7 @@ from f3sum import (
     lemma_case,
     params,
     run_suite,
+    special,
     special_case_inputs,
     suite,
 )
@@ -130,7 +131,7 @@ def test_each_parameter_set_is_classified_once(monkeypatch):
     ps = ParameterSet(a=(Fraction(1, 3),), c=(-2,), h=(Fraction(9, 7),))
     shifted = dataclasses.replace(ps, c=(-1,))
     assert len(calls) == len(built) == 2
-    assert ps.backend == shifted.backend == RATIONAL
+    assert ps.representatives == shifted.representatives == (Fraction(1, 3),)
     eval_f3(shifted, ArgumentTriple(Fraction(1, 4), 0, 0))
     inst = exact_instance("T1a", 0, 0)
     assert inst.backend == RATIONAL
@@ -146,6 +147,14 @@ LAYER_HOOKS = {
     (identities, "eval_f3"): ["ps", "args", "policy"],
     (identities, "weight_value"): ["shape", "inst", "k"],
     (suite, "eval_pfq"): ["upper", "lower", "x", "policy"],
+    (suite, "check_identity"): ["inst", "policy", "residual_tol", "outer_cap"],
+    (special, "check_identity"): ["inst", "policy", "residual_tol", "outer_cap"],
+    (suite, "check_special_case"): [
+        "kind", "ps", "args", "t", "policy", "residual_tol", "outer_cap",
+    ],
+    (suite, "random_instance"): ["identity_id", "seed", "index"],
+    (suite, "exact_instance"): ["identity_id", "seed", "index"],
+    (suite, "special_case_inputs"): ["kind", "seed", "index", "backend"],
     (suite, "lemma_case"): ["name", "seed", "index"],
     (params, "classify_backend"): ["values"],
     (params, "numerator_bounds"): ["ps"],
@@ -159,11 +168,14 @@ def test_layer_hooks_keep_their_names_and_signatures(module, name):
 
 
 def test_suite_calls_through_the_layer_hooks(monkeypatch):
-    # A wrapper on each module attribute sees the calls of a rational pass.
+    # A wrapper on each module attribute sees the calls of a rational and a
+    # float pass: random_instance draws only float rows, exact_instance only
+    # rational ones.
     counts = {
         (module, name): _count_calls(monkeypatch, module, name)
         for module, name in LAYER_HOOKS
         if name not in ("numerator_bounds", "in_support")
     }
     run_suite(SuiteConfig(seed=0, instances=1, backend=RATIONAL))
+    run_suite(SuiteConfig(seed=0, instances=1, backend=FLOAT64))
     assert all(counts.values()), {name: len(c) for (_, name), c in counts.items()}
