@@ -24,6 +24,7 @@ from f3sum import (
     pochhammer,
 )
 from f3sum.numerics import is_integer_valued, pochhammer_product
+from f3sum.params import parse_number
 
 
 class TestClassifyBackend:
@@ -49,6 +50,23 @@ class TestClassifyBackend:
             classify_backend(["1/2"])
         with pytest.raises(BackendMismatchError):
             classify_backend([1 + 2j])
+
+
+class TestCoerceNumber:
+    """Bringing a value into a backend, which ``params.parse_number`` does."""
+
+    def test_int_passes_through(self):
+        assert type(parse_number(3, RATIONAL)) is int
+        assert parse_number(3, RATIONAL) == 3
+        assert type(parse_number(3, FLOAT64)) is float
+        assert parse_number(3, FLOAT64) == 3
+
+    def test_fraction_to_float_allowed(self):
+        assert parse_number("1/2", FLOAT64) == 0.5
+
+    def test_matching_backend(self):
+        assert parse_number(0.25, FLOAT64) == 0.25
+        assert parse_number("2/7", RATIONAL) == Fraction(2, 7)
 
 
 class TestIntegerPredicates:
