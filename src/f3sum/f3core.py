@@ -30,10 +30,16 @@ Every entry ``v = p/q`` enters its plan as ``(k, q, p)``, so its step factor
 ``p + q*orders[k]`` is ``q * (v + order)``, zero exactly when ``v + order``
 is.  In float64, ``p = v`` and ``q = 1``, so the factor is ``v + order``: a
 term is a float, the step multiplies the upstairs factors into ``term * x``,
-the downstairs ones into ``m_d``, and divides once.  In the rational backend
-``p/q`` is the entry's reduced fraction, so every factor is an int, and the
-``q``s of a direction fold into its argument as
-``(x.num * prod q_down, x.den * prod q_up)``, reduced once per call.
+the downstairs ones into ``m_d``, and divides once.  It does so in
+straight-line kernels: source built from a plan's entry counts alone,
+compiled once per ``(n_up, n_down)`` pair into a bounded cache, with each
+entry's value and slot bound as closure variables.  A row kernel steps all
+the points of a row that have m3 > 0, and the row's last point takes the
+step kernel along m2, or along m1 at (s, 0, 0).  In the rational backend
+``p/q`` is the entry's reduced fraction, so every factor is an int, a loop
+over the plan's entries multiplies them in, and the ``q``s of a direction
+fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``,
+reduced once per call.
 Every term of shell s is then an integer over one shell denominator
 ``D_s = D_{s-1} * K_s``: ``K_s``, read from the plans, is the lcm of their
 folded argument denominators, times ``s``, times ``p + (s-1)*q`` for each
@@ -64,7 +70,9 @@ and x2 = x3 = 0, so it is one ``eval_f3`` call and shares its walk.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import textwrap
 from dataclasses import dataclass, replace
 from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -245,6 +253,70 @@ def _pole_error(name: str, j: int, entry: Number, order: int) -> DenominatorPole
     )
 
 
+# A float step along one direction, as a product of the plan's n_up
+# upstairs and n_down downstairs entries.  Only these two ints and fixed
+# names make the source; the factory binds each entry's value and slot.
+_FLOAT_KERNELS = """
+def factory(up, down, x):
+    [{ups}] = up
+    [{downs}] = down
+
+    def row(src, lo, stop, s, m1, out, total):
+        append = out.append
+        c1 = s - m1 - 1
+        c3 = s - 1
+        m = s - m1 - lo
+        for value in src[lo:stop]:
+            o = (m - 1, c1, m1 + m - 1, c3)
+{row_checks}
+            value = {product} / ({den})
+            append(value)
+            total = total + value
+            m -= 1
+        return total
+
+    def step(value, o, m):
+{step_checks}
+        return {product} / ({den})
+
+    return row, step
+"""
+
+
+@functools.lru_cache(maxsize=256)
+def _float_kernels(n_up: int, n_down: int):
+    """The kernel factory for float plans of ``n_up`` upstairs and
+    ``n_down`` downstairs entries, compiled once per pair.
+
+    ``factory(up, down, x)`` returns ``(row, step)`` over one plan.
+    ``step(value, o, m)`` is one step from the term ``value`` whose four
+    orders are ``o``, ``m`` the new factorial factor.  ``row(src, lo, stop,
+    s, m1, out, total)`` steps along m3 the points m2 = lo .. stop - 1 of
+    row m1 of shell s, each from ``src[m2]``, all with m3 > 0; it appends
+    each term to ``out`` and returns ``total`` plus their sum, in point
+    order.  Both multiply ``value * x * (v1 + o[k1]) * ...`` left to right
+    and divide once by ``m * f1 * ...``, the downstairs factors in plan
+    order, each checked for a pole first.
+    """
+    checks = "".join(
+        f"f{i} = w{i} + o[l{i}]\n"
+        f"if f{i} == 0:\n"
+        f"    raise _pole_error(n{i}, j{i}, e{i}, o[l{i}])\n"
+        for i in range(n_down)
+    )
+    source = _FLOAT_KERNELS.format(
+        ups=", ".join(f"(k{i}, _, v{i})" for i in range(n_up)),
+        downs=", ".join(f"(l{i}, _, w{i}, n{i}, j{i}, e{i})" for i in range(n_down)),
+        row_checks=textwrap.indent(checks, " " * 12),
+        step_checks=textwrap.indent(checks, " " * 8),
+        product="value * x" + "".join(f" * (v{i} + o[k{i}])" for i in range(n_up)),
+        den="m" + "".join(f" * f{i}" for i in range(n_down)),
+    )
+    namespace = {"_pole_error": _pole_error}
+    exec(source, namespace)
+    return namespace["factory"]
+
+
 def _shell_sums(
     plans: List[Optional[Tuple[List[tuple], List[tuple], object]]],
     cuts: List[tuple],
@@ -267,7 +339,12 @@ def _shell_sums(
 
     The backend only decides how a term is stored; both branches multiply
     the same factors in the same order.  In float64, ``shell_factors`` is
-    None, a term is a float, and each step divides once.  In the rational
+    None, a term is a float, and each step divides once.  Each live
+    direction's plan gets the kernels of :func:`_float_kernels` once per
+    call: a row m1's points with m3 > 0 step along m3 in one ``row`` call,
+    which carries the shell sum in point order, and its last point
+    (m2 = s - m1, m3 = 0) takes ``step`` along m2, or along m1 where m2 = 0
+    too.  The rational branch loops over the plan entries.  In the rational
     backend ``shell_factors`` yields the ``K_s`` of :func:`_shell_factors`,
     and each term of shell s is the int ``N = term * D_s``.  A step is then
     ``N = N_pred * (num * K_s) // den``, an exact division, with one
@@ -277,6 +354,15 @@ def _shell_sums(
     denominator ``D_s``.
     """
     exact = shell_factors is not None
+    if not exact:
+        # Per live direction, its kernels (row, step) over its plan.
+        kernels = [
+            None if plan is None else _float_kernels(len(plan[0]), len(plan[1]))(*plan)
+            for plan in plans
+        ]
+        row_m3 = kernels[2] and kernels[2][0]
+        step_m2 = kernels[1] and kernels[1][1]
+        step_m1 = kernels[0] and kernels[0][1]
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
     # None below its row's span; a row the cuts empty is None.
     prev: List[Optional[List[object]]] = [[1]]
@@ -289,32 +375,32 @@ def _shell_sums(
         shell_sum: Number = 0
         if exact:
             k_s = next(shell_factors)
-        for m1, lo, hi in spans:
-            cur[m1] = row = [None] * lo
-            for m2 in range(lo, hi + 1):
-                # Step from the predecessor in the previous shell.  The
-                # support is a lower set, so that predecessor is in it.  The
-                # step multiplies in x, divides by the new factorial factor
-                # m_d (den's start), and every family whose order moves with
-                # it contributes one fresh linear factor.  orders holds the
-                # predecessor's order in each of the direction's four rows.
-                m3 = s - m1 - m2
-                if m3:
-                    orders = (m3 - 1, s - m1 - 1, m1 + m3 - 1, s - 1)
-                    den = m3
-                    up, down, x = plans[2]
-                    value = prev[m1][m2]
-                elif m2:
-                    orders = (m2 - 1, m2 - 1, s - 1, s - 1)
-                    den = m2
-                    up, down, x = plans[1]
-                    value = prev[m1][m2 - 1]
-                else:
-                    orders = (s - 1, s - 1, s - 1, s - 1)
-                    den = m1
-                    up, down, x = plans[0]
-                    value = prev[m1 - 1][0]
-                if exact:
+            for m1, lo, hi in spans:
+                cur[m1] = row = [None] * lo
+                for m2 in range(lo, hi + 1):
+                    # Step from the predecessor in the previous shell.  The
+                    # support is a lower set, so that predecessor is in it.
+                    # The step multiplies in x, divides by the new factorial
+                    # factor m_d (den's start), and every family whose order
+                    # moves with it contributes one fresh linear factor.
+                    # orders holds the predecessor's order in each of the
+                    # direction's four rows.
+                    m3 = s - m1 - m2
+                    if m3:
+                        orders = (m3 - 1, s - m1 - 1, m1 + m3 - 1, s - 1)
+                        den = m3
+                        up, down, x = plans[2]
+                        value = prev[m1][m2]
+                    elif m2:
+                        orders = (m2 - 1, m2 - 1, s - 1, s - 1)
+                        den = m2
+                        up, down, x = plans[1]
+                        value = prev[m1][m2 - 1]
+                    else:
+                        orders = (s - 1, s - 1, s - 1, s - 1)
+                        den = m1
+                        up, down, x = plans[0]
+                        value = prev[m1 - 1][0]
                     # Small factors first; the big term takes them last.
                     num, xd = x
                     den = den * xd
@@ -326,19 +412,27 @@ def _shell_sums(
                             raise _pole_error(name, j, entry, orders[k])
                         den = den * factor
                     value = value * (num * k_s) // den
-                else:
-                    # q is 1: the factor is v + order, as in the exact branch.
-                    num = value * x
-                    for k, _, v in up:
-                        num = num * (v + orders[k])
-                    for k, _, v, name, j, entry in down:
-                        factor = v + orders[k]
-                        if factor == 0:
-                            raise _pole_error(name, j, entry, orders[k])
-                        den = den * factor
-                    value = num / den
-                row.append(value)
-                shell_sum = shell_sum + value
+                    row.append(value)
+                    shell_sum = shell_sum + value
+        else:
+            for m1, lo, hi in spans:
+                cur[m1] = row = [None] * lo
+                # The row's points with m3 > 0 step along m3 in one kernel
+                # call; its last point, m2 = s - m1, steps along m2, or
+                # along m1 when it is (s, 0, 0).
+                last = s - m1
+                if lo < last:
+                    shell_sum = row_m3(
+                        prev[m1], lo, hi + 1 if hi < last else last, s, m1, row, shell_sum
+                    )
+                if hi == last:
+                    if last:
+                        s1 = s - 1
+                        value = step_m2(prev[m1][last - 1], (last - 1, last - 1, s1, s1), last)
+                    else:
+                        value = step_m1(prev[m1 - 1][0], (s - 1,) * 4, s)
+                    row.append(value)
+                    shell_sum = shell_sum + value
         prev = cur
         yield (shell_sum, k_s) if exact else shell_sum
 

@@ -204,7 +204,8 @@ class FamilyIndex:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InvalidIndexError(f"unknown parameter family {self.family!r}")
-        if not isinstance(self.i, int) or self.i < 1:
+        # A bool is an int to isinstance, and True would act as index 1.
+        if isinstance(self.i, bool) or not isinstance(self.i, int) or self.i < 1:
             raise InvalidIndexError(f"family index is 1-based, got {self.i!r}")
 
     def check_against(self, ps: ParameterSet) -> None:

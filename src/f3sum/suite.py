@@ -443,6 +443,16 @@ class SuiteConfig:
     jobs: int = 1
     policy: Optional[TruncationPolicy] = None
 
+    def __post_init__(self) -> None:
+        # The CLI checks its flags in the same words; a float would reach
+        # range() as a bare TypeError, and True would run as 1.
+        for name in ("instances", "jobs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidInputError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise InvalidInputError(f"{name} must be >= 1")
+
 
 def _lemma_row(config: SuiteConfig, name: str, index: int) -> Dict[str, object]:
     case = lemma_case(name, config.seed, index)

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from f3sum import (
     ArgumentTriple,
@@ -24,7 +24,14 @@ from f3sum import (
     exact_div,
     pochhammer,
 )
-from f3sum.f3core import _AXIS_CUTS, _direction_plan, _row_spans, _shell_factors, _walk
+from f3sum.f3core import (
+    _AXIS_CUTS,
+    _direction_plan,
+    _float_kernels,
+    _row_spans,
+    _shell_factors,
+    _walk,
+)
 from f3sum.numerics import pochhammer_product
 from f3sum.params import combo_degree, families_along, order_excess, termination_bound
 
@@ -811,6 +818,82 @@ def test_float_walk_is_bit_identical_to_the_stepwise_walk(case):
         pole = None
     assert pole is None
     assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+@st.composite
+def kernel_walk_cases(draw):
+    """A float parameter set with every family drawn with up to four
+    entries, arguments and a shell count.  Along each direction the
+    upstairs or the downstairs families may all be emptied, so a plan may
+    have no entry on either side.  An upstairs family may get a cut, and a
+    downstairs family along a drawn direction a nonpositive integer the walk
+    may reach: along m3 inside a row kernel, along m2 or m1 at a row's last
+    point."""
+    entry = st.floats(0.3, 2.5)
+    fields = {name: tuple(draw(st.lists(entry, max_size=4))) for name in FAMILY_COMBO}
+    for d in range(3):
+        for names in families_along(d):
+            if draw(st.integers(0, 3)) == 0:
+                fields.update(dict.fromkeys(names, ()))
+    if draw(st.booleans()):
+        cut = draw(st.sampled_from(NUMERATOR_FAMILIES))
+        fields[cut] = draw(st.permutations(fields[cut] + (-float(draw(st.integers(0, 5))),)))
+    if draw(st.booleans()):
+        pole = draw(st.sampled_from(families_along(draw(st.integers(0, 2)))[1]))
+        fields[pole] = draw(st.permutations(fields[pole] + (-float(draw(st.integers(0, 3))),)))
+    args = [draw(st.one_of(st.just(0.0), st.floats(-0.6, 0.6))) for _ in range(3)]
+    return ParameterSet(**fields), args, draw(st.integers(1, 8))
+
+
+# A pole at Pochhammer order 2 of a family moving along one direction only:
+# hpp inside the row kernel along m3, hp at the last point (0, 2, 0) of a
+# row, h at the last point (2, 0, 0) of the shell.
+_POLE_SET = dict(a=(1.5, 0.7), e=(1.25,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_walk_cases())
+@example((ParameterSet(**_POLE_SET, hpp=(0.5, -1.0)), [0.3, 0.2, 0.1], 4))
+@example((ParameterSet(**_POLE_SET, hp=(0.5, -1.0)), [0.3, 0.2, 0.1], 4))
+@example((ParameterSet(**_POLE_SET, h=(0.5, -1.0)), [0.3, 0.2, 0.1], 4))
+def test_float_kernels_are_bit_identical_to_the_stepwise_walk(case):
+    # The generated kernels multiply each point's factors in plan order and
+    # check each downstairs factor for a pole; neither may move a bit or
+    # change the pole's text.
+    ps, args, shells = case
+    expected, pole = stepwise_float_shells(ps, args, shells)
+    walk = _walk(ps, ArgumentTriple(*args))[2]
+    got = []
+    try:
+        for _ in range(shells + 1):
+            got.append(next(walk))
+    except StopIteration:
+        pass
+    except DenominatorPoleError as err:
+        assert str(err) == pole
+        pole = None
+    assert pole is None
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+
+def test_float_kernels_are_compiled_once_per_entry_count_pair():
+    # a and e move along every direction, so each live plan holds one
+    # upstairs and two downstairs entries, whatever their values.
+    _float_kernels.cache_clear()
+    args = ArgumentTriple(0.1, -0.2, 0.05)
+    first = eval_f3(ParameterSet(a=(0.5,), e=(1.5, 2.5)), args)
+    second = eval_f3(ParameterSet(a=(1.25,), e=(0.75, 2.0)), args)
+    assert first.value != second.value
+    info = _float_kernels.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # The one cached key is the int pair: asking for it compiles nothing.
+    factory = _float_kernels(1, 2)
+    assert _float_kernels.cache_info().misses == 1
+    assert factory is _float_kernels(1, 2)
+    # An exact walk builds no kernel.
+    eval_f3(ParameterSet(a=(Fraction(1, 2),), e=(Fraction(3, 2),)), ArgumentTriple(
+        Fraction(1, 10), Fraction(1, 5), 0))
+    assert _float_kernels.cache_info().currsize == 1
 
 
 # The axis cuts' rows are the rows of c, cp and cpp.

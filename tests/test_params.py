@@ -188,6 +188,11 @@ class TestFamilyIndex:
         with pytest.raises(InvalidIndexError):
             FamilyIndex("c", 0).check_against(ps)
 
+    def test_bool_index_is_refused(self):
+        # isinstance(True, int) holds, so True used to act as index 1.
+        with pytest.raises(InvalidIndexError, match="1-based"):
+            FamilyIndex("a", True)
+
     def test_unknown_family(self):
         with pytest.raises(InvalidIndexError):
             FamilyIndex("q", 1).check_against(ParameterSet())

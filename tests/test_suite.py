@@ -47,6 +47,23 @@ def test_identity_rows_reject_unknown_backend(backend, jobs):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("instances", 1.5, "instances must be an int, got 1.5"),
+    ("instances", True, "instances must be an int, got True"),
+    ("instances", 0, "instances must be >= 1"),
+    ("jobs", 1.5, "jobs must be an int, got 1.5"),
+    ("jobs", True, "jobs must be an int, got True"),
+    ("jobs", 0, "jobs must be >= 1"),
+], ids=["instances-float", "instances-bool", "instances-zero",
+        "jobs-float", "jobs-bool", "jobs-zero"])
+def test_config_refuses_a_count_that_is_not_a_positive_int(field, value, message):
+    # Only the CLI checked these: a float reached range() as a bare
+    # TypeError, True ran as 1, instances=0 ran no row and jobs=0 serially.
+    with pytest.raises(InvalidInputError) as info:
+        SuiteConfig(**{field: value})
+    assert str(info.value) == message
+
+
 def test_pooled_run_leaves_no_worker_running():
     _, rows = run_suite(SuiteConfig(instances=1, backend=RATIONAL, jobs=2))
     assert len(rows) == 26
