@@ -35,7 +35,10 @@ straight-line kernels: source built from a plan's entry counts alone,
 compiled once per ``(n_up, n_down)`` pair into a bounded cache, with each
 entry's value and slot bound as closure variables.  A row kernel steps all
 the points of a row that have m3 > 0, and the row's last point takes the
-step kernel along m2, or along m1 at (s, 0, 0).  In the rational backend
+step kernel along m2, or along m1 at (s, 0, 0).  Each step makes one pole
+test per product: the plan is scanned only when the downstairs product is
+zero or not finite, and a product that underflowed to zero with no
+vanishing factor is InvalidInputError.  In the rational backend
 ``p/q`` is the entry's reduced fraction, so every factor is an int, a loop
 over the plan's entries multiplies them in, and the ``q``s of a direction
 fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``,
@@ -72,7 +75,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import textwrap
 from dataclasses import dataclass, replace
 from math import gcd, lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -253,9 +255,29 @@ def _pole_error(name: str, j: int, entry: Number, order: int) -> DenominatorPole
     )
 
 
+def _pole_scan(down: List[tuple], orders: tuple, product: Number) -> None:
+    """Account for a step whose downstairs product is zero or not finite.
+
+    Walks the plan ``down`` in order and raises :func:`_pole_error` for the
+    first entry whose factor ``p + q*orders[k]`` vanishes.  With none, a
+    zero product is a float64 underflow, raised as InvalidInputError; an
+    infinite or nan product returns, and the step divides by it.
+    """
+    for k, q, p, name, j, entry in down:
+        if not p + q * orders[k]:
+            raise _pole_error(name, j, entry, orders[k])
+    if not product:
+        raise InvalidInputError(
+            f"the downstairs product underflows float64 at Pochhammer order "
+            f"{orders[3] + 1}; --backend rational sums this input"
+        )
+
+
 # A float step along one direction, as a product of the plan's n_up
 # upstairs and n_down downstairs entries.  Only these two ints and fixed
 # names make the source; the factory binds each entry's value and slot.
+# One pole test per product: the plan is scanned only when the product is
+# zero or not finite (``d - d`` is nan for an inf or nan ``d``).
 _FLOAT_KERNELS = """
 def factory(up, down, x):
     [{ups}] = up
@@ -268,16 +290,20 @@ def factory(up, down, x):
         m = s - m1 - lo
         for value in src[lo:stop]:
             o = (m - 1, c1, m1 + m - 1, c3)
-{row_checks}
-            value = {product} / ({den})
+            d = {den}
+            if not d or d - d:
+                _pole_scan(down, o, d)
+            value = {product} / d
             append(value)
             total = total + value
             m -= 1
         return total
 
     def step(value, o, m):
-{step_checks}
-        return {product} / ({den})
+        d = {den}
+        if not d or d - d:
+            _pole_scan(down, o, d)
+        return {product} / d
 
     return row, step
 """
@@ -295,24 +321,17 @@ def _float_kernels(n_up: int, n_down: int):
     row m1 of shell s, each from ``src[m2]``, all with m3 > 0; it appends
     each term to ``out`` and returns ``total`` plus their sum, in point
     order.  Both multiply ``value * x * (v1 + o[k1]) * ...`` left to right
-    and divide once by ``m * f1 * ...``, the downstairs factors in plan
-    order, each checked for a pole first.
+    and divide once by ``d = m * (w1 + o[l1]) * ...``, the downstairs
+    factors in plan order.  One pole test per product: the plan is scanned
+    by :func:`_pole_scan` only when ``d`` is zero or not finite.
     """
-    checks = "".join(
-        f"f{i} = w{i} + o[l{i}]\n"
-        f"if f{i} == 0:\n"
-        f"    raise _pole_error(n{i}, j{i}, e{i}, o[l{i}])\n"
-        for i in range(n_down)
-    )
     source = _FLOAT_KERNELS.format(
         ups=", ".join(f"(k{i}, _, v{i})" for i in range(n_up)),
-        downs=", ".join(f"(l{i}, _, w{i}, n{i}, j{i}, e{i})" for i in range(n_down)),
-        row_checks=textwrap.indent(checks, " " * 12),
-        step_checks=textwrap.indent(checks, " " * 8),
+        downs=", ".join(f"(l{i}, _, w{i}, _, _, _)" for i in range(n_down)),
         product="value * x" + "".join(f" * (v{i} + o[k{i}])" for i in range(n_up)),
-        den="m" + "".join(f" * f{i}" for i in range(n_down)),
+        den="m" + "".join(f" * (w{i} + o[l{i}])" for i in range(n_down)),
     )
-    namespace = {"_pole_error": _pole_error}
+    namespace = {"_pole_scan": _pole_scan}
     exec(source, namespace)
     return namespace["factory"]
 
@@ -344,7 +363,9 @@ def _shell_sums(
     call: a row m1's points with m3 > 0 step along m3 in one ``row`` call,
     which carries the shell sum in point order, and its last point
     (m2 = s - m1, m3 = 0) takes ``step`` along m2, or along m1 where m2 = 0
-    too.  The rational branch loops over the plan entries.  In the rational
+    too.  The rational branch loops over the plan entries.  Both take one
+    pole test per product: the plan is scanned by :func:`_pole_scan` only
+    when the downstairs product is zero or not finite.  In the rational
     backend ``shell_factors`` yields the ``K_s`` of :func:`_shell_factors`,
     and each term of shell s is the int ``N = term * D_s``.  A step is then
     ``N = N_pred * (num * K_s) // den``, an exact division, with one
@@ -406,11 +427,10 @@ def _shell_sums(
                     den = den * xd
                     for k, q, p in up:
                         num = num * (p + q * orders[k])
-                    for k, q, p, name, j, entry in down:
-                        factor = p + q * orders[k]
-                        if factor == 0:
-                            raise _pole_error(name, j, entry, orders[k])
-                        den = den * factor
+                    for k, q, p, _, _, _ in down:
+                        den = den * (p + q * orders[k])
+                    if not den:
+                        _pole_scan(down, orders, den)
                     value = value * (num * k_s) // den
                     row.append(value)
                     shell_sum = shell_sum + value

@@ -254,11 +254,16 @@ class TestInputErrors:
          "error: tol must be positive and finite, got inf"),
         (["check", "--tol", "inf", "--json", _instance_json()],
          "error: tol must be positive and finite, got inf"),
+        # Two downstairs factors of 1e-200 multiply to 0.0 in float64; the
+        # step used to die with a ZeroDivisionError traceback.
+        (["eval", "--params", '{"a": [1.0], "h": [1e-200, 1e-200]}', "--args", "[0.1, 0, 0]"],
+         "error: the downstairs product underflows float64 at Pochhammer order 1; "
+         "--backend rational sums this input"),
     ], ids=[
         "params-list", "args-int", "scalars-list", "scalars-empty-list", "instance-args-int",
         "index-no-family", "index-list", "id-int", "index-i-text", "index-i-float",
         "args-infinity", "negative-tol", "infinite-tol", "overflowing-tol",
-        "infinite-residual-tol",
+        "infinite-residual-tol", "underflowing-denominator",
     ])
     def test_reported_as_input_error(self, argv, message):
         proc = run_cli(*argv)

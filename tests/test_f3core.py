@@ -231,6 +231,23 @@ class TestEvalF3:
             eval_f3(ps, args)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("family", ("h", "hp", "hpp"))
+    def test_underflowing_denominator_is_invalid_input(self, family):
+        # Two factors of 1e-200 multiply to 0.0 in float64, at the step along
+        # m1, at the last point of a row along m2, or inside the row kernel
+        # along m3.  No factor vanishes, so it is no pole; the rational
+        # backend sums the same input.
+        ps = ParameterSet(a=(1.0,), **{family: (1e-200, 1e-200)})
+        message = (
+            "the downstairs product underflows float64 at Pochhammer order 1; "
+            "--backend rational sums this input"
+        )
+        with pytest.raises(InvalidInputError) as info:
+            eval_f3(ps, ArgumentTriple(0.1, 0.1, 0.1))
+        assert str(info.value) == message
+        exact = ParameterSet(a=(1,), **{family: (Fraction(1, 10**200),) * 2})
+        assert eval_f3(exact, ArgumentTriple(*[Fraction(1, 10)] * 3)).converged
+
     @pytest.mark.parametrize("ps, args, shells, exact", [
         # From shell 3 on every shell is below tol * |sum|, so the stall rule
         # alone stops at shell 5 and misses shells 6..10 of the support.
@@ -589,6 +606,10 @@ def naive_shells(ps, args, shells):
 
 @settings(max_examples=200, deadline=None)
 @given(exact_walk_cases())
+# The exact twin of the float kernels' two-entry case: e[2] and hpp[1]
+# vanish at the same point, and the first in plan order is named.
+@example((ParameterSet(e=(Fraction(1, 2), -2), hpp=(-2,)),
+          [Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)], 4))
 def test_exact_walk_yields_the_naive_shell_sums(case):
     ps, args, shells = case
     expected, pole = naive_shells(ps, args, shells)
@@ -856,9 +877,15 @@ _POLE_SET = dict(a=(1.5, 0.7), e=(1.25,))
 @example((ParameterSet(**_POLE_SET, hpp=(0.5, -1.0)), [0.3, 0.2, 0.1], 4))
 @example((ParameterSet(**_POLE_SET, hp=(0.5, -1.0)), [0.3, 0.2, 0.1], 4))
 @example((ParameterSet(**_POLE_SET, h=(0.5, -1.0)), [0.3, 0.2, 0.1], 4))
+# A pole after an overflowed partial product: 1e200 * 1e200 is inf, and inf
+# times the zero factor of h[3] at order 4 is nan, not zero.
+@example((ParameterSet(h=(1e200, 1e200, -3.0)), [0.05, 0.05, 0.05], 5))
+# e[2] and hpp[1] vanish at the same point (0, 0, 3), inside the row kernel;
+# the first in plan order is named.
+@example((ParameterSet(e=(0.5, -2.0), hpp=(-2.0,)), [0.3, 0.2, 0.1], 4))
 def test_float_kernels_are_bit_identical_to_the_stepwise_walk(case):
     # The generated kernels multiply each point's factors in plan order and
-    # check each downstairs factor for a pole; neither may move a bit or
+    # test the downstairs product once for a pole; neither may move a bit or
     # change the pole's text.
     ps, args, shells = case
     expected, pole = stepwise_float_shells(ps, args, shells)
