@@ -12,13 +12,16 @@ one reader turns the shape and an instance into concrete factors, and the
 weight's value, its cutoff, its divergence and its downstairs poles are all
 read from those factors.
 
-Every rule comes from one of two frames: the binomial frame, whose weight is
-(v)_k base**k / k! on the rule's indexed entry v, and the direction frame,
-whose weight carries the families of one argument direction and whose left
-side raises that whole group by k.  The left side is summed adaptively
-(exactly, when upstairs factors cut it off); each inner evaluation reuses the
-engine in :mod:`f3sum.f3core`.  ``check_identity`` runs both sides and
-reports the relative residual together with convergence diagnostics.
+Every rule comes from one frame.  Its weight carries the families of one
+argument direction, or none, and its left side is read off that weight:
+every entry of the weight's families rises by k, and the rule's indexed
+entry takes one declared step (it rises by k, is held, or leaves its place
+for the int -k at the end of its family).  A binomial rule is the frame
+with no families and the weight (v)_k base**k / k! on its indexed entry v.
+The left side is summed adaptively (exactly, when upstairs factors cut it
+off); each inner evaluation reuses the engine in :mod:`f3sum.f3core`.
+``check_identity`` runs both sides and reports the relative residual
+together with convergence diagnostics.
 """
 
 from __future__ import annotations
@@ -238,23 +241,41 @@ def weight_divergence(shape: WeightShape, inst: IdentityInstance) -> Optional[st
 
 @dataclass(frozen=True)
 class IdentityRule:
-    """One resummation rule: weight, left-side shifts, right-side rewrite.
+    """One resummation rule: weight, indexed step, right-side rewrite.
 
-    The parts a rule leaves out pass the instance through unchanged: the
-    left side's inner arguments, the right side's parameters and arguments,
-    and a prefactor of 1."""
+    The left side's parameters are read off the weight and the indexed step
+    (:meth:`lhs_params`).  The parts a rule leaves out pass the instance
+    through unchanged: the left side's inner arguments, the right side's
+    parameters and arguments, and a prefactor of 1."""
 
     identity_id: str
     summary: str
     indexed_family: Optional[str]
     scalar_names: Tuple[str, ...]
     weight: WeightShape
-    lhs_params: Callable[[IdentityInstance, int], ParameterSet]
+    indexed_step: int = 1
     lhs_args: Callable[[IdentityInstance], ArgumentTriple] = lambda inst: inst.args
     rhs_prefactor: Callable[[IdentityInstance], Number] = lambda inst: 1
     rhs_params: Callable[[IdentityInstance], ParameterSet] = lambda inst: inst.ps
     rhs_args: Callable[[IdentityInstance], ArgumentTriple] = lambda inst: inst.args
     extra_validation: Optional[Callable[[IdentityInstance], None]] = None
+
+    def lhs_params(self, inst: IdentityInstance, k: int) -> ParameterSet:
+        """The left side's parameters at outer index k: every entry of the
+        weight's families raised by k, then the indexed entry v stepped by
+        ``indexed_step``: +1 puts v + k in its place, 0 holds v, and -1
+        drops it and appends the int -k to its family."""
+        shape = self.weight
+        fields = {
+            name: tuple(v + k for v in inst.ps.family(name))
+            for name in shape.upper_families + shape.lower_families
+        }
+        if self.indexed_family is not None:
+            name, v, step = inst.idx.family, inst.indexed_value, self.indexed_step
+            entry = (v + k,) if step > 0 else (v,) if step == 0 else ()
+            values = _splice(inst, fields.get(name, inst.ps.family(name)), entry)
+            fields[name] = values + ((-k,) if step < 0 else ())
+        return replace(inst.ps, **fields)
 
 
 @dataclass(frozen=True)
@@ -305,18 +326,6 @@ def _splice(
     return values[:j] + entry + values[j + 1:]
 
 
-def _shifted(
-    inst: IdentityInstance, names: Sequence[str], k: int, keep_indexed: bool = False
-) -> ParameterSet:
-    """``inst.ps`` with every entry of the named families raised by k; with
-    ``keep_indexed`` the indexed entry keeps its old value."""
-    fields = {name: tuple(v + k for v in inst.ps.family(name)) for name in names}
-    if keep_indexed:
-        name = inst.idx.family
-        fields[name] = _splice(inst, fields[name], (inst.indexed_value,))
-    return replace(inst.ps, **fields)
-
-
 def _rewritten(
     inst: IdentityInstance,
     entry: Optional[Tuple[Number, ...]] = None,
@@ -344,60 +353,41 @@ def _require(condition: bool, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The two rule frames.
+# The rule frame.
 
 
-def _binomial_rule(
+def _rule(
     rid: str,
-    family: str,
-    summary: str,
-    power_base: Callable[[IdentityInstance], Number],
-    **parts: Callable,
-) -> IdentityRule:
-    """Binomial frame: the weight is (v)_k base**k / k! on the indexed entry
-    v of ``family``, the series of (1 - base)**(-v), and the rule's one free
-    scalar is ``t``.  ``parts`` are the rule's left-side parameters and the
-    other :class:`IdentityRule` fields it sets."""
-    return IdentityRule(
-        identity_id=rid,
-        summary=summary,
-        indexed_family=family,
-        scalar_names=("t",),
-        weight=WeightShape(
-            extra_upper=lambda inst: (inst.indexed_value,), power_base=power_base
-        ),
-        **parts,
-    )
-
-
-def _direction_rule(
-    rid: str,
-    direction: int,
+    direction: Optional[int],
     summary: str,
     power_base: Callable[[IdentityInstance], Number],
     family: Optional[str] = None,
     scalar_names: Tuple[str, ...] = ("t",),
-    keep_indexed: bool = False,
     extra_upper: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
     extra_lower: Callable[[IdentityInstance], Tuple[Number, ...]] = lambda inst: (),
     double_step: bool = False,
     **parts: Callable,
 ) -> IdentityRule:
-    """Direction frame: the weight carries the families of
-    ``families_along(direction)`` (upstairs less the indexed entry), the
-    optional scalar factors and base**k, and the left side raises that whole
-    group by k, holding the indexed entry fixed with ``keep_indexed``.
-    ``parts`` are the other :class:`IdentityRule` fields the rule sets."""
-    upper, lower = families_along(direction)
+    """The one rule frame: the weight carries the families of
+    ``families_along(direction)`` (upstairs less the indexed entry; none
+    when ``direction`` is None), the optional scalar factors and base**k,
+    and :meth:`IdentityRule.lhs_params` raises that whole group by k.
+    ``parts`` are the other :class:`IdentityRule` fields the rule sets, its
+    ``indexed_step`` among them."""
+    upper, lower = ((), ()) if direction is None else families_along(direction)
     return IdentityRule(
         identity_id=rid,
         summary=summary,
         indexed_family=family,
         scalar_names=scalar_names,
         weight=WeightShape(upper, lower, extra_upper, extra_lower, power_base, double_step),
-        lhs_params=lambda inst, k: _shifted(inst, upper + lower, k, keep_indexed),
         **parts,
     )
+
+
+def _indexed_entry(inst: IdentityInstance) -> Tuple[Number, ...]:
+    """A binomial weight's one upstairs factor: the indexed entry v."""
+    return (inst.indexed_value,)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +492,6 @@ def _t10c_validation(inst: IdentityInstance) -> None:
     )
 
 
-def _drop_and_push_negative_k(inst: IdentityInstance, k: int) -> ParameterSet:
-    return _rewritten(inst, (), c=(-k,))
-
-
 # ---------------------------------------------------------------------------
 # The rule table.
 
@@ -521,12 +507,11 @@ def _register(rule: IdentityRule) -> None:
 # of the directions the family's Pochhammer order follows.
 for _family in ("a", "b", "c"):
     _dirs = tuple(d for d, w in enumerate(FAMILY_COMBO[_family]) if w)
-    _register(_binomial_rule(
-        f"T1{_family}", _family,
+    _register(_rule(
+        f"T1{_family}", None,
         f"shift one entry of family {_family!r} by a geometric outer sum; "
         f"arguments {tuple(d + 1 for d in _dirs)} rescale by 1/(1-t)",
-        lambda inst: inst.scalar("t"),
-        lhs_params=lambda inst, k: _rewritten(inst, (inst.indexed_value + k,)),
+        lambda inst: inst.scalar("t"), _family, extra_upper=_indexed_entry,
         rhs_prefactor=lambda inst: number_pow(1 - inst.scalar("t"), -inst.indexed_value),
         rhs_args=_rescaled(_dirs),
         extra_validation=lambda inst: _require(
@@ -537,7 +522,7 @@ for _family in ("a", "b", "c"):
 # Argument translations: a full k-shift of every family coupled to one
 # direction, weighted by t**k, translates that argument by t.
 for _direction in range(3):
-    _register(_direction_rule(
+    _register(_rule(
         f"T2x{_direction + 1}", _direction,
         f"translate argument x{_direction + 1} by t through a full shift "
         "of its coupled families",
@@ -545,90 +530,91 @@ for _direction in range(3):
         rhs_args=_translated(_direction),
     ))
 
-# The x1-series rules: the outer variable is x1 itself.  The sign and the
-# shift go together: an alternating rule weights by (-x1)**k and shifts the
-# whole x1 group, indexed entry included; the others weight by x1**k and
-# hold the indexed entry fixed.
-_register(_direction_rule(
+# The x1-series rules: the outer variable is x1 itself, and the left side
+# raises the whole x1 group by k.  The sign and the indexed step go
+# together: an alternating rule weights by (-x1)**k and raises the indexed
+# entry with its group (step +1); the others weight by x1**k and hold it
+# (step 0).
+_register(_rule(
     "T3a", 0,
     "raise one a-entry by r: an r-weighted x1-series adds balancing entries to bp and gp",
-    lambda inst: inst.args.x1, "a", ("r",), keep_indexed=True,
+    lambda inst: inst.args.x1, "a", ("r",), indexed_step=0,
     extra_upper=lambda inst: (inst.scalar("r"),),
     rhs_params=_t3a_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T3c", 0,
     "raise one c-entry by r through an r-weighted x1-series",
-    lambda inst: inst.args.x1, "c", ("r",), keep_indexed=True,
+    lambda inst: inst.args.x1, "c", ("r",), indexed_step=0,
     extra_upper=lambda inst: (inst.scalar("r"),),
     rhs_params=_t3c_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T4a", 0,
     "alternating d-weighted x1-series turns one a-entry into new c and h entries",
     lambda inst: -inst.args.x1, "a", ("d",),
     extra_upper=lambda inst: (inst.scalar("d"),),
     rhs_params=_t4a_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T4c", 0,
     "lower one c-entry by d through an alternating x1-series",
     lambda inst: -inst.args.x1, "c", ("d",),
     extra_upper=lambda inst: (inst.scalar("d"),),
     rhs_params=_t4c_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T5c", 0,
     "split one c-entry into offsets by r and by d, with a balancing h-entry",
-    lambda inst: inst.args.x1, "c", ("d", "r"), keep_indexed=True,
+    lambda inst: inst.args.x1, "c", ("d", "r"), indexed_step=0,
     extra_upper=lambda inst: (inst.scalar("d"), inst.scalar("r")),
     extra_lower=lambda inst: (inst.scalar("d") + inst.scalar("r") + inst.indexed_value,),
     rhs_params=_t5c_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T6a", 0,
     "quadratic-weight x1-series turns one a-entry into two c and two h entries",
     lambda inst: -inst.args.x1, "a", ("d",), double_step=True,
     rhs_params=_t6a_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T6c", 0,
     "quadratic-weight x1-series replaces one c-entry by two c and one h entries",
     lambda inst: -inst.args.x1, "c", ("d",), double_step=True,
     rhs_params=_t6c_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T7c", 0,
     "halving rewrite of one c-entry into three c and two h entries",
-    lambda inst: inst.args.x1, "c", ("r",), keep_indexed=True,
+    lambda inst: inst.args.x1, "c", ("r",), indexed_step=0,
     extra_upper=lambda inst: (inst.scalar("r"), -_half(inst.indexed_value)),
     extra_lower=lambda inst: (1 + inst.scalar("r") + _half(inst.indexed_value),),
     rhs_params=_t7c_rhs,
 ))
-_register(_direction_rule(
+_register(_rule(
     "T8c", 0,
     "halving rewrite with quadratic weight: one c-entry becomes two c and one h entries",
-    lambda inst: inst.args.x1, "c", ("d",), keep_indexed=True, double_step=True,
+    lambda inst: inst.args.x1, "c", ("d",), indexed_step=0, double_step=True,
     extra_upper=lambda inst: (-_half(inst.indexed_value),),
     extra_lower=lambda inst: (1 + inst.scalar("d") + _half(inst.indexed_value),),
     rhs_params=_t8c_rhs,
 ))
 
-# Removing one c-entry: a binomial outer sum pushes -k into c and rescales x1.
-_register(_binomial_rule(
-    "T9c", "c",
+# Removing one c-entry: a binomial outer sum pushes -k into c in place of
+# the indexed entry (step -1) and rescales x1.
+_register(_rule(
+    "T9c", None,
     "remove one c-entry by a binomial outer sum against a geometric rescale of x1",
-    lambda inst: -inst.scalar("t"),
-    lhs_params=_drop_and_push_negative_k,
+    lambda inst: -inst.scalar("t"), "c", extra_upper=_indexed_entry, indexed_step=-1,
     lhs_args=lambda inst: _rescaled_x1(inst, inst.scalar("t")),
     rhs_prefactor=lambda inst: number_pow(1 + inst.scalar("t"), -inst.indexed_value),
     extra_validation=_t9c_validation,
 ))
-_register(_binomial_rule(
-    "T10c", "c",
+_register(_rule(
+    "T10c", None,
     "remove one c-entry by a binomial outer sum against a Moebius rescale of x1",
     lambda inst: exact_div(inst.scalar("t") + inst.args.x1, inst.args.x1 - 1),
-    lhs_params=_drop_and_push_negative_k,
+    "c", extra_upper=_indexed_entry, indexed_step=-1,
     lhs_args=lambda inst: _rescaled_x1(inst, inst.scalar("t") + inst.args.x1),
     rhs_prefactor=lambda inst: number_pow(
         exact_div(1 - inst.args.x1, 1 + inst.scalar("t")), inst.indexed_value

@@ -1,6 +1,9 @@
 """Tests for the resummation rule registry and the two-sided identity checker."""
 
 import dataclasses
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +14,14 @@ from f3sum import (
     BackendMismatchError,
     CheckReport,
     FAMILIES,
+    FAMILY_COMBO,
     FamilyIndex,
     IDENTITY_IDS,
     IdentityInstance,
     InvalidIndexError,
     InvalidInputError,
     InvalidInstanceError,
+    NUMERATOR_FAMILIES,
     ParameterSet,
     TruncationPolicy,
     check_identity,
@@ -27,7 +32,7 @@ from f3sum import (
     pochhammer,
     validate_instance,
 )
-from f3sum.identities import dd_weight
+from f3sum.identities import dd_weight, weight_value
 from f3sum.suite import exact_instance
 
 TIGHT = TruncationPolicy(tol=1e-13, max_total_degree=34, stall_window=3)
@@ -408,7 +413,7 @@ class TestPoleShortCircuit:
 
 class TestDerivedParams:
     @pytest.mark.parametrize("rid, side", [
-        ("T1a", "lhs"), ("T3c", "lhs"), ("T9c", "lhs"),
+        ("T1a", "lhs"), ("T3c", "lhs"), ("T4a", "lhs"), ("T6c", "lhs"), ("T9c", "lhs"),
         ("T3a", "rhs"), ("T4c", "rhs"), ("T5c", "rhs"),
     ])
     def test_index_out_of_range(self, rid, side):
@@ -422,6 +427,99 @@ class TestDerivedParams:
         )
         with pytest.raises(InvalidIndexError, match="out of range"):
             rule.lhs_params(inst, 1) if side == "lhs" else rule.rhs_params(inst)
+
+
+def series_coefficient(ps, m):
+    """L_ps(m), the coefficient of x**m / m! in the triple series: each
+    upstairs entry's Pochhammer symbol over each downstairs one's, at the
+    order FAMILY_COMBO gives its family."""
+    value = Fraction(1)
+    for name in FAMILIES:
+        order = sum(w * mi for w, mi in zip(FAMILY_COMBO[name], m))
+        for v in ps.family(name):
+            p = pochhammer(v, order)
+            value = value * p if name in NUMERATOR_FAMILIES else value / p
+    return value
+
+
+def factorial3(m):
+    return math.factorial(m[0]) * math.factorial(m[1]) * math.factorial(m[2])
+
+
+# Every lattice point of total degree at most 4.
+LOW_DEGREE = [m for m in itertools.product(range(5), repeat=3) if sum(m) <= 4]
+
+
+def generic_instance(rid, i):
+    """A rational instance on which no series terminates: 0-2 sevenths per
+    family (1-2 in the indexed one), ``r`` and ``d`` in thirds, ``t`` and
+    every argument 1, so each weight value is its coefficient alone."""
+    rule = get_rule(rid)
+    rng = random.Random(f"coefficients:{rid}:{i}")
+    sevenths = [Fraction(n, 7) for n in range(-20, 21) if n % 7]
+    lengths = {name: rng.randrange(3) for name in FAMILIES}
+    if rule.indexed_family is not None:
+        lengths[rule.indexed_family] = rng.randrange(1, 3)
+    ps = ParameterSet(**{
+        name: tuple(rng.choice(sevenths) for _ in range(n)) for name, n in lengths.items()
+    })
+    idx = None
+    if rule.indexed_family is not None:
+        idx = FamilyIndex(rule.indexed_family, rng.randrange(1, lengths[rule.indexed_family] + 1))
+    scalars = {
+        name: 1 if name == "t" else Fraction(rng.choice((-4, -2, -1, 1, 2, 4, 5)), 3)
+        for name in rule.scalar_names
+    }
+    return IdentityInstance(rid, ps, ArgumentTriple(1, 1, 1), idx=idx, scalars=scalars)
+
+
+X1_SERIES_RULES = ("T3a", "T3c", "T4a", "T4c", "T5c", "T6a", "T6c", "T7c", "T8c")
+
+
+class TestExactCoefficients:
+    """Each rule compared with its right side coefficient by coefficient, in
+    exact arithmetic: the left side's weights, left-side parameters and
+    right-side parameters meet in every power of the arguments."""
+
+    @pytest.mark.parametrize("rid", X1_SERIES_RULES)
+    @pytest.mark.parametrize("i", range(3))
+    def test_x1_series_rule(self, rid, i):
+        # sum over k <= m1 of W(k) L_lhs(k)(m1-k, m2, m3) / ((m1-k)! m2! m3!)
+        # is L_rhs(m) / m!, with W(k) the weight without its power of x1.
+        rule = get_rule(rid)
+        inst = generic_instance(rid, i)
+        weights = [weight_value(rule.weight, inst, k) for k in range(5)]
+        lhs_sets = [rule.lhs_params(inst, k) for k in range(5)]
+        rhs_set = rule.rhs_params(inst)
+        for m in LOW_DEGREE:
+            lhs = sum(
+                weights[k] * series_coefficient(lhs_sets[k], (m[0] - k, m[1], m[2]))
+                / factorial3((m[0] - k, m[1], m[2]))
+                for k in range(m[0] + 1)
+            )
+            assert lhs == series_coefficient(rhs_set, m) / factorial3(m), m
+
+    @pytest.mark.parametrize("direction", range(3))
+    @pytest.mark.parametrize("i", range(3))
+    def test_translation_rule(self, direction, i):
+        # The coefficient of t**j x**m: W(j) L_lhs(j)(m) / m! on the left and
+        # C(m_d + j, j) L_ps(m + j e_d) / (m + j e_d)! on the right.
+        rid = f"T2x{direction + 1}"
+        rule = get_rule(rid)
+        inst = generic_instance(rid, i)
+        for m in LOW_DEGREE:
+            for j in range(5 - sum(m)):
+                lhs = (
+                    weight_value(rule.weight, inst, j)
+                    * series_coefficient(rule.lhs_params(inst, j), m) / factorial3(m)
+                )
+                moved = list(m)
+                moved[direction] += j
+                rhs = (
+                    math.comb(moved[direction], j)
+                    * series_coefficient(inst.ps, moved) / factorial3(moved)
+                )
+                assert lhs == rhs, (m, j)
 
 
 class TestInstanceJson:
