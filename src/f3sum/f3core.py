@@ -28,21 +28,21 @@ the walk visits only the support's points and tests none of them.
 The backend, classified once, sets how a term starts and how it is stored.
 Every entry ``v = p/q`` enters its plan as ``(k, q, p)``, so its step factor
 ``p + q*orders[k]`` is ``q * (v + order)``, zero exactly when ``v + order``
-is.  In float64, ``p = v`` and ``q = 1``, so the factor is ``v + order``: a
-term is a float, the step multiplies the upstairs factors into ``term * x``,
-the downstairs ones into ``m_d``, and divides once.  It does so in
-straight-line kernels: source built from a plan's entry counts alone,
-compiled once per ``(n_up, n_down)`` pair into a bounded cache, with each
-entry's value and slot bound as closure variables.  A row kernel steps all
-the points of a row that have m3 > 0, and the row's last point takes the
-step kernel along m2, or along m1 at (s, 0, 0).  Each step makes one pole
-test per product: the plan is scanned only when the downstairs product is
-zero or not finite, and a product that underflowed to zero with no
-vanishing factor is InvalidInputError.  In the rational backend
-``p/q`` is the entry's reduced fraction, so every factor is an int, a loop
-over the plan's entries multiplies them in, and the ``q``s of a direction
-fold into its argument as ``(x.num * prod q_down, x.den * prod q_up)``,
-reduced once per call.
+is.  Both backends step in straight-line kernels: source built from a
+plan's entry counts and the backend alone, compiled once per
+``(n_up, n_down, exact)`` key into a bounded cache, with each entry's value
+and slot bound as closure variables.  A row kernel steps all the points of a
+row that have m3 > 0, and the row's last point takes the step kernel along
+m2, or along m1 at (s, 0, 0).  Each step makes one pole test per product:
+the plan is scanned only when the downstairs product is zero, or in float64
+not finite.  In float64, ``p = v`` and ``q = 1``, so the factor is
+``v + order``: a term is a float, the step multiplies the upstairs factors
+into ``term * x``, the downstairs ones into ``m_d``, and divides once, and a
+product that underflowed to zero with no vanishing factor is
+InvalidInputError.  In the rational backend ``p/q`` is the entry's reduced
+fraction, so every factor is an int, and the ``q``s of a direction fold into
+its argument as ``(x.num * prod q_down, x.den * prod q_up)``, reduced once
+per call.
 Every term of shell s is then an integer over one shell denominator
 ``D_s = D_{s-1} * K_s``: ``K_s``, read from the plans, is the lcm of their
 folded argument denominators, times ``s``, times ``p + (s-1)*q`` for each
@@ -224,25 +224,51 @@ def _row_spans(cuts: List[tuple], s: int) -> List[Tuple[int, int, int]]:
     the points ``(m1, m2, s - m1 - m2)`` with ``lo <= m2 <= hi``.
 
     Along row m1, m3 = s - m1 - m2, so a cut ``(c1, c2, c3, b)`` reads
-    ``(c2 - c3)*m2 <= b - c1*m1 - c3*(s - m1)``.  Its weights are 0 or 1, so
-    it bounds m2 from above, from below, or holds for the whole row or none
-    of it, and the cuts together leave each row one interval.
+    ``(c2 - c3)*m2 <= room + (c3 - c1)*m1`` with ``room = b - c3*s``.  Its
+    weights are 0 or 1, so it bounds m2 from above by ``room`` or
+    ``room - m1``, from below by ``-room`` or ``-room - m1``, or, with
+    ``c2 == c3``, bounds m1 alone.  Each kind keeps only its tightest cut,
+    and the cuts together leave each row one interval.
     """
+    if not cuts:
+        return [(m1, 0, s - m1) for m1 in range(s + 1)]
+    # m1 runs from first to last; lo >= max(lo0, lo1 - m1), hi <= min(hi0, hi1 - m1).
+    first, last = 0, s
+    lo0 = lo1 = 0
+    hi0 = hi1 = s
+    for c1, c2, c3, b in cuts:
+        room = b - c3 * s
+        if c2 > c3:
+            if c1:
+                if room < hi1:
+                    hi1 = room
+            elif room < hi0:
+                hi0 = room
+        elif c2 < c3:
+            if c1:
+                if -room > lo0:
+                    lo0 = -room
+            elif -room > lo1:
+                lo1 = -room
+        elif c3 > c1:
+            if -room > first:
+                first = -room
+        elif c3 < c1:
+            if room < last:
+                last = room
+        elif room < 0:
+            return []
+    # max(lo0, lo1 - m1) <= min(hi0, hi1 - m1) pairwise bounds m1 once more,
+    # and leaves no row between first and last empty.
+    if lo0 > hi0 or lo1 > hi1:
+        return []
+    if lo1 - hi0 > first:
+        first = lo1 - hi0
+    if hi1 - lo0 < last:
+        last = hi1 - lo0
     spans = []
-    for m1 in range(s + 1):
-        lo, hi = 0, s - m1
-        for c1, c2, c3, b in cuts:
-            room = b - c1 * m1 - c3 * (s - m1)
-            if c2 > c3:
-                if room < hi:
-                    hi = room
-            elif c2 < c3:
-                if -room > lo:
-                    lo = -room
-            elif room < 0:
-                hi = -1
-        if lo <= hi:
-            spans.append((m1, lo, hi))
+    for m1 in range(first, last + 1):
+        spans.append((m1, lo1 - m1 if lo1 - m1 > lo0 else lo0, hi1 - m1 if hi1 - m1 < hi0 else hi0))
     return spans
 
 
@@ -273,63 +299,79 @@ def _pole_scan(down: List[tuple], orders: tuple, product: Number) -> None:
         )
 
 
-# A float step along one direction, as a product of the plan's n_up
-# upstairs and n_down downstairs entries.  Only these two ints and fixed
-# names make the source; the factory binds each entry's value and slot.
-# One pole test per product: the plan is scanned only when the product is
-# zero or not finite (``d - d`` is nan for an inf or nan ``d``).
-_FLOAT_KERNELS = """
-def factory(up, down, x):
+# A step along one direction, as a product of the plan's n_up upstairs and
+# n_down downstairs entries, in float64 or exact ints.  Only these two ints,
+# the backend and fixed names make the source; the factory binds each entry's
+# value and slot, and builds the one kernel its direction uses: ``row`` along
+# m3, ``step`` along m2 and m1.  One pole test per product: the plan is
+# scanned only when the product is zero, or in float64 not finite (``d - d``
+# is nan for an inf or nan ``d``).
+_KERNELS = """
+def factory(up, down, x, along_m3):
     [{ups}] = up
     [{downs}] = down
+    {x}
+    if along_m3:
+        def row(src, lo, stop, s, m1, out, total, k_s):
+            append = out.append
+            c1 = s - m1 - 1
+            c3 = s - 1
+            m = s - m1 - lo
+            for value in src[lo:stop]:
+                o = (m - 1, c1, m1 + m - 1, c3)
+                d = {den}
+                if {pole}:
+                    _pole_scan(down, o, d)
+                value = {update}
+                append(value)
+                total = total + value
+                m -= 1
+            return total
 
-    def row(src, lo, stop, s, m1, out, total):
-        append = out.append
-        c1 = s - m1 - 1
-        c3 = s - 1
-        m = s - m1 - lo
-        for value in src[lo:stop]:
-            o = (m - 1, c1, m1 + m - 1, c3)
-            d = {den}
-            if not d or d - d:
-                _pole_scan(down, o, d)
-            value = {product} / d
-            append(value)
-            total = total + value
-            m -= 1
-        return total
+        return row
 
-    def step(value, o, m):
+    def step(value, o, m, k_s):
         d = {den}
-        if not d or d - d:
+        if {pole}:
             _pole_scan(down, o, d)
-        return {product} / d
+        return {update}
 
-    return row, step
+    return step
 """
 
 
 @functools.lru_cache(maxsize=256)
-def _float_kernels(n_up: int, n_down: int):
-    """The kernel factory for float plans of ``n_up`` upstairs and
-    ``n_down`` downstairs entries, compiled once per pair.
+def _kernels(n_up: int, n_down: int, exact: bool):
+    """The kernel factory for plans of ``n_up`` upstairs and ``n_down``
+    downstairs entries in one backend, compiled once per key.
 
-    ``factory(up, down, x)`` returns ``(row, step)`` over one plan.
-    ``step(value, o, m)`` is one step from the term ``value`` whose four
-    orders are ``o``, ``m`` the new factorial factor.  ``row(src, lo, stop,
-    s, m1, out, total)`` steps along m3 the points m2 = lo .. stop - 1 of
-    row m1 of shell s, each from ``src[m2]``, all with m3 > 0; it appends
-    each term to ``out`` and returns ``total`` plus their sum, in point
-    order.  Both multiply ``value * x * (v1 + o[k1]) * ...`` left to right
-    and divide once by ``d = m * (w1 + o[l1]) * ...``, the downstairs
-    factors in plan order.  One pole test per product: the plan is scanned
-    by :func:`_pole_scan` only when ``d`` is zero or not finite.
+    ``factory(up, down, x, along_m3)`` returns ``row`` when ``along_m3`` is
+    set, else ``step``.  ``step(value, o, m, k_s)`` is one step from the
+    term ``value`` whose four orders are ``o``, ``m`` the new factorial
+    factor.  ``row(src, lo, stop, s, m1, out, total, k_s)`` steps along m3
+    the points m2 = lo .. stop - 1 of row m1 of shell s, each from
+    ``src[m2]``, all with m3 > 0; it appends each term to ``out`` and
+    returns ``total`` plus their sum, in point order.  In float64 ``k_s`` is
+    None, and a step multiplies ``value * x * (v1 + o[k1]) * ...`` left to
+    right and divides once by ``d = m * (w1 + o[l1]) * ...``, the downstairs
+    factors in plan order.  With ``exact`` set, ``x`` is the int pair
+    ``(xn, xd)``, each factor is ``p + q*o[k]``, and a step is the exact
+    division ``value * (xn * ... * k_s) // d`` with ``d = m * xd * ...``.
     """
-    source = _FLOAT_KERNELS.format(
-        ups=", ".join(f"(k{i}, _, v{i})" for i in range(n_up)),
-        downs=", ".join(f"(l{i}, _, w{i}, _, _, _)" for i in range(n_down)),
-        product="value * x" + "".join(f" * (v{i} + o[k{i}])" for i in range(n_up)),
-        den="m" + "".join(f" * (w{i} + o[l{i}])" for i in range(n_down)),
+
+    def factors(value, scale, slot, n):
+        # " * (v0 + q0 * o[k0]) * ...", or in float64, where q = 1, without q.
+        return "".join(f" * ({value}{i} + {scale}{i} * o[{slot}{i}])" if exact
+                       else f" * ({value}{i} + o[{slot}{i}])" for i in range(n))
+
+    up = factors("v", "q", "k", n_up)
+    source = _KERNELS.format(
+        ups=", ".join(f"(k{i}, q{i}, v{i})" for i in range(n_up)),
+        downs=", ".join(f"(l{i}, r{i}, w{i}, _, _, _)" for i in range(n_down)),
+        x="xn, xd = x" if exact else "",
+        den=("m * xd" if exact else "m") + factors("w", "r", "l", n_down),
+        pole="not d" if exact else "not d or d - d",
+        update=f"value * (xn{up} * k_s) // d" if exact else f"value * x{up} / d",
     )
     namespace = {"_pole_scan": _pole_scan}
     exec(source, namespace)
@@ -356,34 +398,26 @@ def _shell_sums(
     times along m1 (where m2 = m3 = 0).  An entry ``(k, q, p)`` then steps
     by the factor ``p + q*orders[k]``.
 
-    The backend only decides how a term is stored; both branches multiply
-    the same factors in the same order.  In float64, ``shell_factors`` is
-    None, a term is a float, and each step divides once.  Each live
-    direction's plan gets the kernels of :func:`_float_kernels` once per
-    call: a row m1's points with m3 > 0 step along m3 in one ``row`` call,
-    which carries the shell sum in point order, and its last point
-    (m2 = s - m1, m3 = 0) takes ``step`` along m2, or along m1 where m2 = 0
-    too.  The rational branch loops over the plan entries.  Both take one
-    pole test per product: the plan is scanned by :func:`_pole_scan` only
-    when the downstairs product is zero or not finite.  In the rational
-    backend ``shell_factors`` yields the ``K_s`` of :func:`_shell_factors`,
-    and each term of shell s is the int ``N = term * D_s``.  A step is then
-    ``N = N_pred * (num * K_s) // den``, an exact division, with one
-    multiply of the big ``N_pred``.  Shell 0 is the int 1 in both backends;
-    every later exact shell is yielded as ``(N_s, K_s)``, its int sum and
-    factor, which :func:`~f3sum.numerics.adaptive_sum` sums over the running
-    denominator ``D_s``.
+    Each live direction's plan gets its one kernel of :func:`_kernels` per
+    call, in the call's backend: a row m1's points with m3 > 0 step along m3
+    in one ``row`` call, which carries the shell sum in point order, and its
+    last point (m2 = s - m1, m3 = 0) takes ``step`` along m2, or along m1
+    where m2 = 0 too.  The backend only decides how a term is stored.  In
+    float64, ``shell_factors`` is None and a term is a float.  In the
+    rational backend ``shell_factors`` yields the ``K_s`` of
+    :func:`_shell_factors`, and each term of shell s is the int
+    ``N = term * D_s``, stepped as ``N_pred * (num * K_s) // den``, an exact
+    division with one multiply of the big ``N_pred``.  Shell 0 is the int 1
+    in both backends; every later exact shell is yielded as ``(N_s, K_s)``,
+    its int sum and factor, which :func:`~f3sum.numerics.adaptive_sum` sums
+    over the running denominator ``D_s``.
     """
     exact = shell_factors is not None
-    if not exact:
-        # Per live direction, its kernels (row, step) over its plan.
-        kernels = [
-            None if plan is None else _float_kernels(len(plan[0]), len(plan[1]))(*plan)
-            for plan in plans
-        ]
-        row_m3 = kernels[2] and kernels[2][0]
-        step_m2 = kernels[1] and kernels[1][1]
-        step_m1 = kernels[0] and kernels[0][1]
+    step_m1, step_m2, row_m3 = (
+        None if plan is None else _kernels(len(plan[0]), len(plan[1]), exact)(*plan, d == 2)
+        for d, plan in enumerate(plans)
+    )
+    k_s = None
     # Shell s is a triangle: prev[m1][m2] holds the term at (m1, m2, s-m1-m2),
     # None below its row's span; a row the cuts empty is None.
     prev: List[Optional[List[object]]] = [[1]]
@@ -392,69 +426,30 @@ def _shell_sums(
         spans = _row_spans(cuts, s)
         if not spans:
             return
-        cur: List[Optional[List[object]]] = [None] * (s + 1)
-        shell_sum: Number = 0
         if exact:
             k_s = next(shell_factors)
-            for m1, lo, hi in spans:
-                cur[m1] = row = [None] * lo
-                for m2 in range(lo, hi + 1):
-                    # Step from the predecessor in the previous shell.  The
-                    # support is a lower set, so that predecessor is in it.
-                    # The step multiplies in x, divides by the new factorial
-                    # factor m_d (den's start), and every family whose order
-                    # moves with it contributes one fresh linear factor.
-                    # orders holds the predecessor's order in each of the
-                    # direction's four rows.
-                    m3 = s - m1 - m2
-                    if m3:
-                        orders = (m3 - 1, s - m1 - 1, m1 + m3 - 1, s - 1)
-                        den = m3
-                        up, down, x = plans[2]
-                        value = prev[m1][m2]
-                    elif m2:
-                        orders = (m2 - 1, m2 - 1, s - 1, s - 1)
-                        den = m2
-                        up, down, x = plans[1]
-                        value = prev[m1][m2 - 1]
-                    else:
-                        orders = (s - 1, s - 1, s - 1, s - 1)
-                        den = m1
-                        up, down, x = plans[0]
-                        value = prev[m1 - 1][0]
-                    # Small factors first; the big term takes them last.
-                    num, xd = x
-                    den = den * xd
-                    for k, q, p in up:
-                        num = num * (p + q * orders[k])
-                    for k, q, p, _, _, _ in down:
-                        den = den * (p + q * orders[k])
-                    if not den:
-                        _pole_scan(down, orders, den)
-                    value = value * (num * k_s) // den
-                    row.append(value)
-                    shell_sum = shell_sum + value
-        else:
-            for m1, lo, hi in spans:
-                cur[m1] = row = [None] * lo
-                # The row's points with m3 > 0 step along m3 in one kernel
-                # call; its last point, m2 = s - m1, steps along m2, or
-                # along m1 when it is (s, 0, 0).
-                last = s - m1
-                if lo < last:
-                    shell_sum = row_m3(
-                        prev[m1], lo, hi + 1 if hi < last else last, s, m1, row, shell_sum
-                    )
-                if hi == last:
-                    if last:
-                        s1 = s - 1
-                        value = step_m2(prev[m1][last - 1], (last - 1, last - 1, s1, s1), last)
-                    else:
-                        value = step_m1(prev[m1 - 1][0], (s - 1,) * 4, s)
-                    row.append(value)
-                    shell_sum = shell_sum + value
+        cur: List[Optional[List[object]]] = [None] * (s + 1)
+        shell_sum: Number = 0
+        for m1, lo, hi in spans:
+            cur[m1] = row = [None] * lo
+            # The row's points with m3 > 0 step along m3 in one kernel call;
+            # its last point, m2 = s - m1, steps along m2, or along m1 when
+            # it is (s, 0, 0).
+            last = s - m1
+            if lo < last:
+                shell_sum = row_m3(
+                    prev[m1], lo, hi + 1 if hi < last else last, s, m1, row, shell_sum, k_s
+                )
+            if hi == last:
+                if last:
+                    s1 = s - 1
+                    value = step_m2(prev[m1][last - 1], (last - 1, last - 1, s1, s1), last, k_s)
+                else:
+                    value = step_m1(prev[m1 - 1][0], (s - 1,) * 4, s, k_s)
+                row.append(value)
+                shell_sum = shell_sum + value
         prev = cur
-        yield (shell_sum, k_s) if exact else shell_sum
+        yield shell_sum if k_s is None else (shell_sum, k_s)
 
 
 def _top_shell(cuts: List[tuple], cap: int) -> Optional[int]:

@@ -274,11 +274,17 @@ def adaptive_sum(
             converged = terminated = True
     if type(last) is tuple:
         total = Fraction(total, den)
-        last = Fraction(last[0], den)
+        # Int true division rounds as float(Fraction) does, without a gcd.
+        try:
+            magnitude = abs(last[0]) / abs(den)
+        except OverflowError:
+            magnitude = math.inf
+    else:
+        magnitude = magnitude_as_float(abs(last))
     return EvaluationResult(
         value=total,
         shells_used=used,
-        last_shell_magnitude=magnitude_as_float(abs(last)),
+        last_shell_magnitude=magnitude,
         converged=converged,
         terminated_exactly=terminated,
     )

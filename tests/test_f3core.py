@@ -27,7 +27,7 @@ from f3sum import (
 from f3sum.f3core import (
     _AXIS_CUTS,
     _direction_plan,
-    _float_kernels,
+    _kernels,
     _row_spans,
     _shell_factors,
     _walk,
@@ -604,12 +604,21 @@ def naive_shells(ps, args, shells):
     return sums, None
 
 
+_EXACT_POLE_SET = dict(a=(Fraction(3, 2), Fraction(7, 10)), e=(Fraction(5, 4),))
+_EXACT_POLE_ARGS = [Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(exact_walk_cases())
 # The exact twin of the float kernels' two-entry case: e[2] and hpp[1]
 # vanish at the same point, and the first in plan order is named.
 @example((ParameterSet(e=(Fraction(1, 2), -2), hpp=(-2,)),
           [Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)], 4))
+# The exact twins of the float kernels' poles at order 2: hpp inside the row
+# kernel along m3, hp at the row's last point (0, 2, 0), h at (2, 0, 0).
+@example((ParameterSet(**_EXACT_POLE_SET, hpp=(Fraction(1, 2), -1)), _EXACT_POLE_ARGS, 4))
+@example((ParameterSet(**_EXACT_POLE_SET, hp=(Fraction(1, 2), -1)), _EXACT_POLE_ARGS, 4))
+@example((ParameterSet(**_EXACT_POLE_SET, h=(Fraction(1, 2), -1)), _EXACT_POLE_ARGS, 4))
 def test_exact_walk_yields_the_naive_shell_sums(case):
     ps, args, shells = case
     expected, pole = naive_shells(ps, args, shells)
@@ -903,24 +912,31 @@ def test_float_kernels_are_bit_identical_to_the_stepwise_walk(case):
     assert [repr(v) for v in got] == [repr(v) for v in expected]
 
 
-def test_float_kernels_are_compiled_once_per_entry_count_pair():
+def test_kernels_are_compiled_once_per_entry_count_pair_and_backend():
     # a and e move along every direction, so each live plan holds one
     # upstairs and two downstairs entries, whatever their values.
-    _float_kernels.cache_clear()
+    _kernels.cache_clear()
     args = ArgumentTriple(0.1, -0.2, 0.05)
     first = eval_f3(ParameterSet(a=(0.5,), e=(1.5, 2.5)), args)
     second = eval_f3(ParameterSet(a=(1.25,), e=(0.75, 2.0)), args)
     assert first.value != second.value
-    info = _float_kernels.cache_info()
+    info = _kernels.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    # The one cached key is the int pair: asking for it compiles nothing.
-    factory = _float_kernels(1, 2)
-    assert _float_kernels.cache_info().misses == 1
-    assert factory is _float_kernels(1, 2)
-    # An exact walk builds no kernel.
-    eval_f3(ParameterSet(a=(Fraction(1, 2),), e=(Fraction(3, 2),)), ArgumentTriple(
-        Fraction(1, 10), Fraction(1, 5), 0))
-    assert _float_kernels.cache_info().currsize == 1
+    # The one cached key is the count pair and backend: asking for it
+    # compiles nothing.
+    factory = _kernels(1, 2, False)
+    assert _kernels.cache_info().misses == 1
+    assert factory is _kernels(1, 2, False)
+    # An exact walk of the same counts compiles its own factory, once.
+    exact_args = ArgumentTriple(Fraction(1, 10), Fraction(-1, 5), Fraction(1, 20))
+    first = eval_f3(ParameterSet(a=(Fraction(1, 2),), e=(Fraction(3, 2), Fraction(5, 2))),
+                    exact_args)
+    second = eval_f3(ParameterSet(a=(Fraction(5, 4),), e=(Fraction(3, 4), 2)), exact_args)
+    assert first.value != second.value
+    info = _kernels.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert _kernels(1, 2, True) is not _kernels(1, 2, False)
+    assert _kernels.cache_info().misses == 2
 
 
 # The axis cuts' rows are the rows of c, cp and cpp.

@@ -1,5 +1,6 @@
 """Tests for backend classification, exact arithmetic and adaptive summation."""
 
+import math
 from fractions import Fraction
 from itertools import count, repeat
 
@@ -23,7 +24,7 @@ from f3sum import (
     number_pow,
     pochhammer,
 )
-from f3sum.numerics import is_integer_valued, pochhammer_product
+from f3sum.numerics import is_integer_valued, magnitude_as_float, pochhammer_product
 from f3sum.params import parse_number
 
 
@@ -333,6 +334,21 @@ class TestAdaptiveSum:
     def test_nonstrict_reports_divergence(self):
         res = adaptive_sum((float(k + 1) for k in count()), TruncationPolicy())
         assert not res.converged
+
+    @pytest.mark.parametrize("terms, magnitude", [
+        # D = -6 * 4, so the last shell is 5 / -24.
+        ([1, (1, -6), (5, 4)], 5 / 24),
+        # A last shell past the float range reads inf, and one below it 0.0.
+        ([1, (10**400, -3)], math.inf),
+        ([1, (-1, 10**400)], 0.0),
+    ], ids=["negative-denominator", "overflow", "underflow"])
+    def test_pair_terms_report_the_float_of_the_last_shell(self, terms, magnitude):
+        # The magnitude of the last pair term n over D is the float of the
+        # Fraction |n / D|, inf when that overflows.
+        res = adaptive_sum(iter(terms), TruncationPolicy())
+        den = math.prod(k for _, k in terms[1:])
+        assert res.last_shell_magnitude == magnitude
+        assert res.last_shell_magnitude == magnitude_as_float(abs(Fraction(terms[-1][0], den)))
 
 
 @st.composite
