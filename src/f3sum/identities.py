@@ -264,7 +264,9 @@ class IdentityRule:
         """The left side's parameters at outer index k: every entry of the
         weight's families raised by k, then the indexed entry v stepped by
         ``indexed_step``: +1 puts v + k in its place, 0 holds v, and -1
-        drops it and appends the int -k to its family."""
+        drops it and appends the int -k to its family.  Built with
+        :meth:`ParameterSet.derived`, so only the changed families are
+        classified, and the set keeps the instance's backend."""
         shape = self.weight
         fields = {
             name: tuple(v + k for v in inst.ps.family(name))
@@ -275,7 +277,7 @@ class IdentityRule:
             entry = (v + k,) if step > 0 else (v,) if step == 0 else ()
             values = _splice(inst, fields.get(name, inst.ps.family(name)), entry)
             fields[name] = values + ((-k,) if step < 0 else ())
-        return replace(inst.ps, **fields)
+        return inst.ps.derived(**fields)
 
 
 @dataclass(frozen=True)
@@ -333,14 +335,15 @@ def _rewritten(
 ) -> ParameterSet:
     """``inst.ps`` with the indexed entry replaced by the entries of
     ``entry`` (``()`` drops it, None keeps it), then each family named in
-    ``appended`` extended by its entries, in the order given."""
+    ``appended`` extended by its entries, in the order given.  Built with
+    :meth:`ParameterSet.derived`, like the left side's sets."""
     fields: Dict[str, Tuple[Number, ...]] = {}
     if entry is not None:
         name = inst.idx.family
         fields[name] = _splice(inst, inst.ps.family(name), entry)
     for name, values in appended.items():
         fields[name] = fields.get(name, inst.ps.family(name)) + values
-    return replace(inst.ps, **fields)
+    return inst.ps.derived(**fields)
 
 
 def _half(v: Number) -> Number:

@@ -112,10 +112,20 @@ def number_pow(base: Number, exponent: Number) -> Number:
 def pochhammer(x: Number, k: int) -> Number:
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1.
 
-    Exact for int and Fraction arguments; IEEE for floats.
+    Exact for int and Fraction arguments; IEEE for floats.  A Fraction
+    ``x = p/q`` with k >= 1 is multiplied out in ints, as
+    ``(p (p+q) ... (p+(k-1)q)) / q**k`` with one reduction at the end: the
+    same value, type and ``repr`` as the stepwise Fraction product.
     """
-    if not isinstance(k, int) or k < 0:
+    # A bool is an int to isinstance, and True would act as order 1.
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise InvalidInputError(f"pochhammer order must be a non-negative int, got {k!r}")
+    if k and isinstance(x, Fraction):
+        p, q = x.as_integer_ratio()
+        n = p
+        for i in range(1, k):
+            n *= p + i * q
+        return Fraction(n, q**k)
     result: Number = 1
     for i in range(k):
         result = result * (x + i)

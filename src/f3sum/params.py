@@ -15,11 +15,13 @@ to one of the seven nonempty combinations of the three summation indices:
 
 A :class:`ParameterSet` holds one tuple of scalars per family (any family may
 be empty).  All entries must live in a single arithmetic backend; see
-:mod:`f3sum.numerics`.  Parameter sets are frozen, so the resummation rules
-share them freely and build each rewritten set with one
-``dataclasses.replace`` call.  A set classifies its backend once, when it is
-built, and keeps one representative entry of the kind that decided it, so a
+:mod:`f3sum.numerics`.  A set classifies its backend once, when it is built,
+and keeps one representative entry of the kind that decided it, so a
 computation over the set plus a few more scalars classifies only those.
+Parameter sets are frozen, so the resummation rules share them freely and
+build each rewritten set with one :meth:`ParameterSet.derived` call, which
+copies the parent and classifies only the parent's representative and the
+entries of the families it replaces.
 """
 
 from __future__ import annotations
@@ -102,10 +104,10 @@ class ParameterSet:
     h: Tuple[Number, ...] = ()
     hp: Tuple[Number, ...] = ()
     hpp: Tuple[Number, ...] = ()
-    # Set once in __post_init__: the first float (float64) or Fraction
-    # (rational) entry, () for ints alone.  The entries never mix the two, so
-    # classify_backend over the representatives plus other scalars decides
-    # what it would over all entries plus them.
+    # Set once, in __post_init__ or derived: the first float (float64) or
+    # Fraction (rational) entry, () for ints alone.  The entries never mix
+    # the two, so classify_backend over the representatives plus other
+    # scalars decides what it would over all entries plus them.
     representatives: Tuple[Number, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,10 +118,34 @@ class ParameterSet:
                 values = tuple(values)
                 object.__setattr__(self, name, values)
             entries.extend(values)
-        # Raises BackendMismatchError on a float/Fraction mix.
-        kind = float if classify_backend(entries) == FLOAT64 else Fraction
-        first = next((v for v in entries if isinstance(v, kind)), None)
-        object.__setattr__(self, "representatives", () if first is None else (first,))
+        object.__setattr__(self, "representatives", _representatives(entries))
+
+    def derived(self, **families: Sequence[Number]) -> "ParameterSet":
+        """This set with the named families replaced.
+
+        The copy equals ``dataclasses.replace(self, **families)`` in ``==``,
+        ``hash`` and ``repr``, but classifies its backend over this set's
+        representatives plus the new entries only, still raising
+        BackendMismatchError on a float/Fraction mix.  It keeps this set's
+        representative (or, without one, takes the first typed new entry),
+        so it keeps the parent's backend even where the new families drop
+        the only typed entry and leave ints alone, which a full rebuild
+        would classify as rational.
+        """
+        copy = object.__new__(type(self))
+        state = copy.__dict__
+        state.update(self.__dict__)
+        entries: List[Number] = list(self.representatives)
+        for name, values in families.items():
+            if name not in FAMILY_COMBO:
+                raise InvalidIndexError(f"unknown parameter family {name!r}")
+            if not isinstance(values, tuple):
+                values = tuple(values)
+            state[name] = values
+            entries.extend(values)
+        # The parent's representative comes first, so it stays.
+        state["representatives"] = _representatives(entries)
+        return copy
 
     def family(self, name: str) -> Tuple[Number, ...]:
         if name not in FAMILIES:
@@ -135,6 +161,16 @@ class ParameterSet:
             if values:
                 out[name] = [format_number(v) for v in values]
         return out
+
+
+def _representatives(entries: List[Number]) -> Tuple[Number, ...]:
+    """The first entry of the kind that decides the backend of ``entries``
+    (float for float64, Fraction for rational), or () for ints alone.
+    Calls classify_backend once, so it raises BackendMismatchError on a
+    float/Fraction mix."""
+    kind = float if classify_backend(entries) == FLOAT64 else Fraction
+    first = next((v for v in entries if isinstance(v, kind)), None)
+    return () if first is None else (first,)
 
 
 def format_number(x: Number):

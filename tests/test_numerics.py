@@ -185,6 +185,30 @@ class TestPochhammer:
         with pytest.raises(InvalidInputError):
             pochhammer(1, 1.5)
 
+    @pytest.mark.parametrize("x", [Fraction(1, 2), 3, 0.5])
+    def test_bool_order_rejected(self, x):
+        # True is an int to isinstance, and would act as order 1.
+        with pytest.raises(InvalidInputError, match="got True"):
+            pochhammer(x, True)
+        with pytest.raises(InvalidInputError, match="got False"):
+            pochhammer(x, False)
+
+    @given(x=st.fractions(min_value=-12, max_value=12, max_denominator=60))
+    @example(x=Fraction(-3))  # terminating: zero from k = 4 on
+    @example(x=Fraction(5))  # integral: still a Fraction
+    @example(x=Fraction(-7, 3))
+    @example(x=Fraction(0))
+    def test_fraction_matches_the_stepwise_product(self, x):
+        # The int product over q**k reduces to the stepwise Fraction product:
+        # the same value, type and repr at every order.
+        stepwise = 1
+        for k in range(21):
+            got = pochhammer(x, k)
+            assert got == stepwise
+            assert type(got) is type(stepwise)
+            assert repr(got) == repr(stepwise)
+            stepwise = stepwise * (x + k)
+
     def test_terminating(self):
         assert pochhammer(-3, 4) == 0
         assert pochhammer(-3, 3) == -6

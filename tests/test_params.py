@@ -1,12 +1,16 @@
 """Tests for the fourteen-family parameter container, its index and JSON forms."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from f3sum import (
+    ArgumentTriple,
     BackendMismatchError,
     DENOMINATOR_FAMILIES,
+    F3Error,
     FAMILIES,
     FAMILY_COMBO,
     FLOAT64,
@@ -16,6 +20,8 @@ from f3sum import (
     NUMERATOR_FAMILIES,
     ParameterSet,
     RATIONAL,
+    TruncationPolicy,
+    eval_f3,
     get_rule,
     parameter_set_from_json,
 )
@@ -221,3 +227,100 @@ class TestSupport:
         nb = numerator_bounds(ps)
         assert nb["c"] == 2
         assert nb["a"] is None
+
+
+# Typed entries of each backend; ints are neutral and fit either.
+_TYPED = {
+    float: st.floats(-4, 4, allow_nan=False).filter(lambda v: not v.is_integer()),
+    Fraction: st.fractions(-4, 4, max_denominator=9).filter(lambda v: v.denominator > 1),
+}
+
+
+@st.composite
+def derived_cases(draw):
+    """(parent set, replaced families) in one backend, ints mixed in."""
+    kind = draw(st.sampled_from((float, Fraction)))
+    entry = st.one_of(st.integers(-3, 4), _TYPED[kind])
+    ps = ParameterSet(**{
+        name: tuple(draw(st.lists(entry, max_size=2)))
+        for name in draw(st.sets(st.sampled_from(FAMILIES), max_size=5))
+    })
+    names = draw(st.sets(st.sampled_from(FAMILIES), min_size=1, max_size=3))
+    return ps, {name: tuple(draw(st.lists(entry, max_size=3))) for name in names}
+
+
+def _backend_decision(ps):
+    """Whether eval_f3 sums ``ps`` in float64 at int arguments, or the
+    error it raises."""
+    try:
+        res = eval_f3(ps, ArgumentTriple(1, 1, 0), TruncationPolicy(max_total_degree=2))
+    except F3Error as exc:
+        return type(exc)
+    return isinstance(res.value, float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(derived_cases())
+# The changed family drops the only typed entry: the derived set keeps it
+# as its representative, a full rebuild holds ints alone.
+@example((ParameterSet(c=(0.5,), h=(2,)), {"c": (-1,)}))
+@example((ParameterSet(a=(Fraction(1, 3),)), {"a": ()}))
+def test_derived_set_equals_the_full_rebuild(case):
+    ps, families = case
+    derived = ps.derived(**families)
+    rebuilt = dataclasses.replace(ps, **families)
+    assert derived == rebuilt
+    assert hash(derived) == hash(rebuilt)
+    assert repr(derived) == repr(rebuilt)
+    if ps.representatives:
+        assert derived.representatives == ps.representatives
+    else:
+        # The first typed new entry, of the kind a full rebuild keeps.
+        assert list(map(type, derived.representatives)) == list(
+            map(type, rebuilt.representatives)
+        )
+    if rebuilt.representatives:
+        assert _backend_decision(derived) == _backend_decision(rebuilt)
+
+
+@given(derived_cases(), st.data())
+def test_derived_set_rejects_a_mixed_input(case, data):
+    ps, families = case
+    parent_kind = type(ps.representatives[0]) if ps.representatives else None
+    other = Fraction if parent_kind is float else float
+    name = data.draw(st.sampled_from(sorted(families)))
+    families[name] += (data.draw(_TYPED[other]),)
+    if parent_kind is None:
+        # A set of ints takes either backend, as a full rebuild does, and
+        # refuses a mix among the new entries, as a full rebuild does.
+        try:
+            rebuilt = dataclasses.replace(ps, **families)
+        except BackendMismatchError:
+            with pytest.raises(BackendMismatchError):
+                ps.derived(**families)
+        else:
+            assert ps.derived(**families) == rebuilt
+        return
+    # The parent's representative meets an entry of the other kind.
+    with pytest.raises(BackendMismatchError):
+        ps.derived(**families)
+
+
+def test_derived_set_keeps_the_parent_backend_without_typed_entries():
+    # A full rebuild of ints alone sums exactly; the derived set keeps the
+    # parent's float representative and sums in float64.  Sets from the CLI
+    # or the suite never hold ints in float64, so only the API reaches this.
+    ps = ParameterSet(c=(0.5,), h=(2,))
+    derived = ps.derived(c=(-1,))
+    rebuilt = dataclasses.replace(ps, c=(-1,))
+    assert derived == rebuilt and derived.representatives == (0.5,)
+    assert rebuilt.representatives == ()
+    floated = eval_f3(derived, ArgumentTriple(1, 0, 0)).value
+    exact = eval_f3(rebuilt, ArgumentTriple(1, 0, 0)).value
+    assert type(floated) is float and floated == 0.5
+    assert type(exact) is Fraction and exact == Fraction(1, 2)
+
+
+def test_derived_set_refuses_an_unknown_family():
+    with pytest.raises(InvalidIndexError, match="unknown parameter family 'z'"):
+        ParameterSet(a=(1,)).derived(z=(1,))

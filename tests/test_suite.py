@@ -134,15 +134,23 @@ def test_lemma_case_carries_its_series_outside_repr_and_equality():
 def test_each_parameter_set_is_classified_once(monkeypatch):
     # bench/tracing.py counts parameter sets by wrapping
     # params.classify_backend, so each set built calls it exactly once, and
-    # nothing else does: not eval_f3, not the backend properties.
+    # nothing else does: not eval_f3, not the backend properties.  A set is
+    # built by the constructor (through __post_init__) or by derived.
     built = []
     post_init = ParameterSet.__post_init__
+    derived = ParameterSet.derived
 
     def counted_post_init(self):
         built.append(self)
         post_init(self)
 
+    def counted_derived(self, **families):
+        ps = derived(self, **families)
+        built.append(ps)
+        return ps
+
     monkeypatch.setattr(ParameterSet, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ParameterSet, "derived", counted_derived)
     calls = _count_calls(monkeypatch, params, "classify_backend")
 
     ps = ParameterSet(a=(Fraction(1, 3),), c=(-2,), h=(Fraction(9, 7),))
@@ -153,6 +161,10 @@ def test_each_parameter_set_is_classified_once(monkeypatch):
     inst = exact_instance("T1a", 0, 0)
     assert inst.backend == RATIONAL
     assert len(calls) == len(built) == 3
+    back = shifted.derived(c=(-2,))
+    assert back == ps
+    assert len(calls) == len(built) == 4
+    assert back.representatives == (Fraction(1, 3),)
 
     run_suite(SuiteConfig(seed=1, instances=1, backend=RATIONAL))
     run_suite(SuiteConfig(seed=1, instances=1))
