@@ -26,10 +26,8 @@ from f3sum import (
 )
 from f3sum.f3core import (
     _AXIS_CUTS,
-    _direction_plan,
     _kernels,
     _row_spans,
-    _shell_factors,
     _walk,
 )
 from f3sum.numerics import pochhammer_product
@@ -644,6 +642,58 @@ def test_exact_walk_yields_the_naive_shell_sums(case):
     assert not any(expected[len(got):])
 
 
+# Entries that never vanish as Pochhammer bases, in three denominators:
+# positive ints, and sevenths and thirds of either sign that are not ints.
+_MIXED_DENOMINATORS = st.one_of(
+    st.integers(1, 4),
+    st.builds(Fraction, st.integers(-20, 20).filter(lambda p: p % 7), st.just(7)),
+    st.builds(Fraction, st.integers(-11, 11).filter(lambda p: p % 3), st.just(3)),
+)
+
+
+@st.composite
+def long_exact_walk_cases(draw):
+    """A non-terminating rational set, arguments with at most one zero, and
+    8 to 14 shells.  Each filled family holds two entries of mixed
+    denominators, and one of them moves along two live directions, so the
+    walk reads its table along both and its downstairs entries enter K_s
+    once."""
+    args = [draw(st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 9)))
+            for _ in range(3)]
+    zero = draw(st.sampled_from((None, 0, 1, 2)))
+    if zero is not None:
+        args[zero] = 0
+    live = [d for d, x in enumerate(args) if x]
+    two_way = sorted(name for name, w in FAMILY_COMBO.items() if sum(w[d] for d in live) >= 2)
+    names = draw(st.sets(st.sampled_from(sorted(FAMILY_COMBO)), max_size=5))
+    names.add(draw(st.sampled_from(two_way)))
+    fields = {name: tuple(draw(st.lists(_MIXED_DENOMINATORS, min_size=2, max_size=2)))
+              for name in names}
+    return ParameterSet(**fields), args, draw(st.integers(8, 14))
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_exact_walk_cases())
+# Along the live m2 every family is empty, so its steps read only ones;
+# bpp moves along m1 and m3 both.
+@example((ParameterSet(bpp=(Fraction(2, 3), Fraction(-5, 7)), c=(3, Fraction(2, 7)),
+                       h=(Fraction(1, 3), Fraction(9, 7))),
+          [Fraction(1, 3), Fraction(-2, 5), Fraction(1, 4)], 14))
+def test_long_exact_walks_yield_the_naive_shell_sums(case):
+    # exact_walk_cases stops at 6 shells; here every table grows to order 14.
+    ps, args, shells = case
+    expected, pole = naive_shells(ps, args, shells)
+    assert pole is None
+    walk = _walk(ps, ArgumentTriple(*args))[2]
+    assert next(walk) == 1
+    sums, den = [], 1
+    for _ in range(shells):
+        n, k = next(walk)
+        den *= k
+        sums.append(Fraction(n, den))
+    assert [repr(v) for v in sums] == [repr(v) for v in expected[1:]]
+
+
 # Entries that never vanish as Pochhammer bases: positive ints and
 # non-integer Fractions, so no upstairs cut and no downstairs pole.
 _NONVANISHING = st.one_of(st.integers(1, 4), _NON_INTEGER)
@@ -737,7 +787,7 @@ def test_exact_argument_pair_is_reduced(sign):
     ps = ParameterSet(a=(Fraction(3, 7),), c=(Fraction(5, 7),), e=(Fraction(9, 7),),
                       h=(Fraction(2, 7), Fraction(11, 7)))
     x = Fraction(sign * 3, 14)
-    num, den = _direction_plan(ps, 0, x, True)[2]
+    num, den = _walk(ps, ArgumentTriple(x, 0, 0))[0][0]
     assert math.gcd(num, den) == 1
     assert Fraction(num, den) == x * 7**3 / 7**2
     assert (num, den) == (sign * 3, 2)
@@ -748,10 +798,11 @@ def test_shell_factors_take_each_live_downstairs_entry_once():
     # K_s once (twice would give K_1 = 60); hpp moves only along the dead m3
     # and stays out (it would give K_1 = 90).  B = lcm(3, 5) = 15, and
     # K_s = 15 * s * (2 + 7*(s-1)).  No value shows either mistake.
+    # The walk yields each exact shell as (N_s, K_s), after shell 0's int 1.
     ps = ParameterSet(g=(Fraction(2, 7),), hpp=(Fraction(3, 7),))
-    plans = _walk(ps, ArgumentTriple(Fraction(1, 3), Fraction(1, 5), 0))[0]
-    factors = _shell_factors(plans)
-    assert [next(factors) for _ in range(3)] == [30, 270, 720]
+    walk = _walk(ps, ArgumentTriple(Fraction(1, 3), Fraction(1, 5), 0))[2]
+    assert next(walk) == 1
+    assert [next(walk)[1] for _ in range(3)] == [30, 270, 720]
 
 
 @st.composite
@@ -922,21 +973,19 @@ def test_kernels_are_compiled_once_per_entry_count_pair_and_backend():
     assert first.value != second.value
     info = _kernels.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    # The one cached key is the count pair and backend: asking for it
-    # compiles nothing.
-    factory = _kernels(1, 2, False)
+    # The one cached key is the count pair: asking for it compiles nothing.
+    factory = _kernels(1, 2)
     assert _kernels.cache_info().misses == 1
-    assert factory is _kernels(1, 2, False)
-    # An exact walk of the same counts compiles its own factory, once.
+    assert factory is _kernels(1, 2)
+    # An exact walk of the same counts reads its factor tables and compiles
+    # nothing: the cache is as the float calls left it.
+    info = _kernels.cache_info()
     exact_args = ArgumentTriple(Fraction(1, 10), Fraction(-1, 5), Fraction(1, 20))
     first = eval_f3(ParameterSet(a=(Fraction(1, 2),), e=(Fraction(3, 2), Fraction(5, 2))),
                     exact_args)
     second = eval_f3(ParameterSet(a=(Fraction(5, 4),), e=(Fraction(3, 4), 2)), exact_args)
     assert first.value != second.value
-    info = _kernels.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-    assert _kernels(1, 2, True) is not _kernels(1, 2, False)
-    assert _kernels.cache_info().misses == 2
+    assert _kernels.cache_info() == info
 
 
 # The axis cuts' rows are the rows of c, cp and cpp.
