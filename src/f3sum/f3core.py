@@ -52,10 +52,14 @@ moving along a live direction, taken once (a zero factor skipped), so
 ``D_s`` holds every denominator a term of the shell can have.  A negative
 downstairs entry can make ``K_s``, and so ``D_s``, negative.  A step stores
 ``N = term * D_s`` as ``N_pred * num // den``, an exact division of table
-products: along m3 a row multiplies its constant factors once, and each
-point reads two tables upstairs and two downstairs.  A zero ``den`` is a
-pole, and only then is the direction's plan built, to name the entry.  A
-shell is yielded as the int pair ``(N_s, K_s)``, ``N_s`` its plain int sum.
+products.  The factors of a step fixed for the shell, the folded argument
+denominator and the downstairs values at order s, all divide ``K_s``; each
+shell divides them out of ``K_s`` once, so ``den`` keeps only the factors
+of the point's own orders.  Along m3 a row multiplies its constant factors
+once, and each point reads two tables upstairs and two downstairs; along
+m1, at (s, 0, 0), only ``K_s`` is divided.  A zero ``den`` is a pole,
+and only then is the direction's plan built, to name the entry.  A shell
+is yielded as the int pair ``(N_s, K_s)``, ``N_s`` its plain int sum.
 No point pays a ``gcd``, and no shell builds a ``Fraction``.
 
 The walk is a generator of shell sums, and :func:`~f3sum.numerics.adaptive_sum`
@@ -421,9 +425,15 @@ def _exact_stepper(
     division, ``N = N_pred * num // den``: ``num`` the folded argument's
     numerator, ``K_s`` and the upstairs table values, ``den`` the new
     factorial factor, the folded denominator and the downstairs ones.  In
-    ints the grouping of the factors does not move ``N``.  A zero ``den``
-    is a pole: the stepper builds that direction's :func:`_direction_plan`
-    there, and :func:`_pole_scan` names the first vanishing entry.
+    ints the grouping of the factors does not move ``N``, so each shell
+    cancels from ``K_s`` once the part ``q`` of ``den`` fixed for it:
+    ``x3.den * e[s]`` along m3, ``x2.den * g[s] * e[s]`` along m2, all of
+    ``den`` along m1.  ``B`` holds the folded denominator, and each table
+    value at order s is a product of factors ``p + (s-1)*q`` held in
+    ``K_s``, so ``K_s // q`` is exact; a zero ``q`` cancels nothing and
+    leaves ``den`` 0.  A zero ``den`` is a pole: the stepper builds that
+    direction's :func:`_direction_plan` there, and :func:`_pole_scan` names
+    the first vanishing entry.
     """
     pairs = [x.as_integer_ratio() for x in args]
     live = [n != 0 for n, _ in pairs]
@@ -498,11 +508,11 @@ def _exact_stepper(
             if factor:
                 k_s *= factor
         if x3:
-            num3 = x3[0] * k_s * a[s]
-            den3 = x3[1] * e[s]
+            q3 = x3[1] * e[s]
+            num3 = x3[0] * (k_s // q3 if q3 else 0) * a[s]
         if x2:
-            num2 = x2[0] * k_s * b[s] * a[s]
-            den2 = x2[1] * g[s] * e[s]
+            q2 = x2[1] * g[s] * e[s]
+            num2 = x2[0] * (k_s // q2 if q2 else 0) * b[s] * a[s]
         cur: List[Optional[List[int]]] = [None] * (s + 1)
         total = 0
         for m1, lo, hi in spans:
@@ -511,7 +521,7 @@ def _exact_stepper(
             if lo < last:
                 # The points with m3 > 0 step along m3, from m3 = last - lo down.
                 row_num = num3 * bp[last]
-                row_den = den3 * gp[last]
+                row_den = gp[last] if q3 else 0
                 append = row.append
                 m3 = last - lo
                 k = s - lo
@@ -526,7 +536,7 @@ def _exact_stepper(
                     k -= 1
             if hi == last:
                 if last:
-                    den = last * den2 * hp[last] * gp[last]
+                    den = last * hp[last] * gp[last] if q2 else 0
                     if not den:
                         _pole_scan(_direction_plan(ps, 1, args.x2)[1], (last - 1, last - 1, o, o), den)
                     value = prev[m1][last - 1] * (num2 * cp[last] * bp[last]) // den
@@ -534,7 +544,7 @@ def _exact_stepper(
                     den = s * x1[1] * h[s] * gpp[s] * g[s] * e[s]
                     if not den:
                         _pole_scan(_direction_plan(ps, 0, args.x1)[1], (o,) * 4, den)
-                    value = prev[o][0] * (x1[0] * k_s * c[s] * bpp[s] * b[s] * a[s]) // den
+                    value = prev[o][0] * (x1[0] * (k_s // den) * c[s] * bpp[s] * b[s] * a[s])
                 row.append(value)
                 total += value
         return cur, (total, k_s)

@@ -148,7 +148,7 @@ class ParameterSet:
         return copy
 
     def family(self, name: str) -> Tuple[Number, ...]:
-        if name not in FAMILIES:
+        if name not in FAMILY_COMBO:
             raise InvalidIndexError(f"unknown parameter family {name!r}")
         return getattr(self, name)
 

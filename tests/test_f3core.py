@@ -617,6 +617,18 @@ _EXACT_POLE_ARGS = [Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)]
 @example((ParameterSet(**_EXACT_POLE_SET, hpp=(Fraction(1, 2), -1)), _EXACT_POLE_ARGS, 4))
 @example((ParameterSet(**_EXACT_POLE_SET, hp=(Fraction(1, 2), -1)), _EXACT_POLE_ARGS, 4))
 @example((ParameterSet(**_EXACT_POLE_SET, h=(Fraction(1, 2), -1)), _EXACT_POLE_ARGS, 4))
+# Zero factors of the part of a divisor that each shell cancels against
+# K_s.  e[3] = 0, and the cut m3 <= 0 (cpp) or m2 + m3 <= 0 (bp) makes
+# shell 3's first point a row's last one, reached along m2 at (0, 3, 0) or
+# along m1 at (3, 0, 0).
+@example((ParameterSet(e=(Fraction(1, 2), -2), cpp=(0,)), _EXACT_POLE_ARGS, 4))
+@example((ParameterSet(e=(Fraction(1, 2), -2), bp=(0,)), _EXACT_POLE_ARGS, 4))
+# g[2] = 0: row 0 of shell 2 steps (0, 0, 2) and (0, 1, 1) along m3, whose
+# divisors hold no g, before (0, 2, 0) meets the pole along m2.
+@example((ParameterSet(**_EXACT_POLE_SET, g=(Fraction(1, 2), -1)), _EXACT_POLE_ARGS, 4))
+# g[3] = 0 and K_3 skips it, but the cut m1 + m2 <= 1 (b) leaves shell 3 and
+# later no step along m2 or m1, so no pole is met and the walk goes on.
+@example((ParameterSet(**_EXACT_POLE_SET, b=(-1,), g=(Fraction(1, 2), -2)), _EXACT_POLE_ARGS, 6))
 def test_exact_walk_yields_the_naive_shell_sums(case):
     ps, args, shells = case
     expected, pole = naive_shells(ps, args, shells)

@@ -324,3 +324,8 @@ def test_derived_set_keeps_the_parent_backend_without_typed_entries():
 def test_derived_set_refuses_an_unknown_family():
     with pytest.raises(InvalidIndexError, match="unknown parameter family 'z'"):
         ParameterSet(a=(1,)).derived(z=(1,))
+
+
+def test_family_lookup_refuses_an_unknown_family():
+    with pytest.raises(InvalidIndexError, match="unknown parameter family 'z'"):
+        ParameterSet().family("z")
