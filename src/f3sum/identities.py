@@ -18,6 +18,9 @@ every entry of the weight's families rises by k, and the rule's indexed
 entry takes one declared step (it rises by k, is held, or leaves its place
 for the int -k at the end of its family).  A binomial rule is the frame
 with no families and the weight (v)_k base**k / k! on its indexed entry v.
+An x1-series rule rests on a finite summation theorem: ``LEMMAS`` declares
+each closed form once, the suite's lemma rows check it, and the rule's
+right side is read off it.
 The left side is summed adaptively (exactly, when upstairs factors cut it
 off); each inner evaluation reuses the engine in :mod:`f3sum.f3core`.
 ``check_identity`` runs both sides and reports the relative residual
@@ -394,6 +397,24 @@ def _indexed_entry(inst: IdentityInstance) -> Tuple[Number, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The summation lemmas.
+
+# The finite summation theorems the x1-series rules rest on, each closed
+# form prod (num)_n / prod (den)_n declared once, as params -> (num, den).
+# A rule sets the last parameter, which is also the last downstairs entry,
+# to its indexed entry v.  The two-b and Watson sums take w = -2b.
+LEMMAS: Dict[str, Callable[..., Tuple[Tuple[Number, ...], Tuple[Number, ...]]]] = {
+    "vandermonde_2f1": lambda a, c: ((c - a,), (c,)),
+    "saalschutz_3f2": lambda a, b, c: ((c - a, c - b), (c - a - b, c)),
+    "nearly_poised_3f2": lambda a, b: ((2 + a - b, b - a - 1), (1 + a - b, b)),
+    "twob_balanced_3f2": lambda a, w: (
+        (a + w, _half(w), 1 + _half(a + w)), (1 + a + _half(w), _half(a + w), w),
+    ),
+    "watson_4f3": lambda a, w: ((_half(w), a + w), (1 + a + _half(w), w)),
+}
+
+
+# ---------------------------------------------------------------------------
 # Rule-specific arguments, rewrites and checks.
 
 
@@ -421,51 +442,34 @@ def _translated(direction: int) -> Callable[[IdentityInstance], ArgumentTriple]:
     return rhs_args
 
 
+# T3a rests on Vandermonde at c = v + m2 + m3, which moves with the lattice
+# point, so no declared lemma entry holds it: its right side is written out,
+# and it puts the m2 + m3 part of the rewrite into bp and gp.
 def _t3a_rhs(inst: IdentityInstance) -> ParameterSet:
     v, r = inst.indexed_value, inst.scalar("r")
     return _rewritten(inst, (v + r,), bp=(v,), gp=(v + r,))
 
 
-def _t3c_rhs(inst: IdentityInstance) -> ParameterSet:
-    return _rewritten(inst, (inst.indexed_value + inst.scalar("r"),))
+def _lemma_rhs(
+    name: str, params: Callable[[IdentityInstance], Tuple[Number, ...]]
+) -> Callable[[IdentityInstance], ParameterSet]:
+    """The right side of an x1-series rule resting on ``LEMMAS[name]`` at
+    ``(*params(inst), v)``, v the indexed entry: the lemma at order m1
+    joins ``c`` upstairs and ``h`` downstairs.  An a-entry v stays.  A
+    c-entry's (v)_m1 cancels the lemma's last downstairs entry, v; with no
+    downstairs entry left the one upstairs entry takes v's place, and
+    otherwise v leaves ``c``."""
+    ratio = LEMMAS[name]
 
+    def rhs_params(inst: IdentityInstance) -> ParameterSet:
+        num, den = ratio(*params(inst), inst.indexed_value)
+        if inst.idx.family == "a":
+            return _rewritten(inst, c=num, h=den)
+        if len(den) == 1:
+            return _rewritten(inst, num)
+        return _rewritten(inst, (), c=num, h=den[:-1])
 
-def _t4a_rhs(inst: IdentityInstance) -> ParameterSet:
-    v = inst.indexed_value
-    return _rewritten(inst, c=(v - inst.scalar("d"),), h=(v,))
-
-
-def _t4c_rhs(inst: IdentityInstance) -> ParameterSet:
-    return _rewritten(inst, (inst.indexed_value + (-inst.scalar("d")),))
-
-
-def _t5c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v, r, d = inst.indexed_value, inst.scalar("r"), inst.scalar("d")
-    return _rewritten(inst, (), c=(v + r, v + d), h=(v + r + d,))
-
-
-def _t6a_rhs(inst: IdentityInstance) -> ParameterSet:
-    v, d = inst.indexed_value, inst.scalar("d")
-    return _rewritten(inst, c=(2 + d - v, v - d - 1), h=(1 + d - v, v))
-
-
-def _t6c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v, d = inst.indexed_value, inst.scalar("d")
-    return _rewritten(inst, (), c=(2 + d - v, v - d - 1), h=(1 + d - v,))
-
-
-def _t7c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v, r = inst.indexed_value, inst.scalar("r")
-    return _rewritten(
-        inst, (),
-        c=(v + r, _half(v), 1 + _half(v + r)),
-        h=(1 + r + _half(v), _half(v + r)),
-    )
-
-
-def _t8c_rhs(inst: IdentityInstance) -> ParameterSet:
-    v, d = inst.indexed_value, inst.scalar("d")
-    return _rewritten(inst, (), c=(_half(v), v + d), h=(1 + d + _half(v),))
+    return rhs_params
 
 
 def _rescaled_x1(inst: IdentityInstance, den: Number) -> ArgumentTriple:
@@ -550,21 +554,21 @@ _register(_rule(
     "raise one c-entry by r through an r-weighted x1-series",
     lambda inst: inst.args.x1, "c", ("r",), indexed_step=0,
     extra_upper=lambda inst: (inst.scalar("r"),),
-    rhs_params=_t3c_rhs,
+    rhs_params=_lemma_rhs("vandermonde_2f1", lambda inst: (-inst.scalar("r"),)),
 ))
 _register(_rule(
     "T4a", 0,
     "alternating d-weighted x1-series turns one a-entry into new c and h entries",
     lambda inst: -inst.args.x1, "a", ("d",),
     extra_upper=lambda inst: (inst.scalar("d"),),
-    rhs_params=_t4a_rhs,
+    rhs_params=_lemma_rhs("vandermonde_2f1", lambda inst: (inst.scalar("d"),)),
 ))
 _register(_rule(
     "T4c", 0,
     "lower one c-entry by d through an alternating x1-series",
     lambda inst: -inst.args.x1, "c", ("d",),
     extra_upper=lambda inst: (inst.scalar("d"),),
-    rhs_params=_t4c_rhs,
+    rhs_params=_lemma_rhs("vandermonde_2f1", lambda inst: (inst.scalar("d"),)),
 ))
 _register(_rule(
     "T5c", 0,
@@ -572,19 +576,21 @@ _register(_rule(
     lambda inst: inst.args.x1, "c", ("d", "r"), indexed_step=0,
     extra_upper=lambda inst: (inst.scalar("d"), inst.scalar("r")),
     extra_lower=lambda inst: (inst.scalar("d") + inst.scalar("r") + inst.indexed_value,),
-    rhs_params=_t5c_rhs,
+    rhs_params=_lemma_rhs(
+        "saalschutz_3f2", lambda inst: (-inst.scalar("r"), -inst.scalar("d"))
+    ),
 ))
 _register(_rule(
     "T6a", 0,
     "quadratic-weight x1-series turns one a-entry into two c and two h entries",
     lambda inst: -inst.args.x1, "a", ("d",), double_step=True,
-    rhs_params=_t6a_rhs,
+    rhs_params=_lemma_rhs("nearly_poised_3f2", lambda inst: (inst.scalar("d"),)),
 ))
 _register(_rule(
     "T6c", 0,
     "quadratic-weight x1-series replaces one c-entry by two c and one h entries",
     lambda inst: -inst.args.x1, "c", ("d",), double_step=True,
-    rhs_params=_t6c_rhs,
+    rhs_params=_lemma_rhs("nearly_poised_3f2", lambda inst: (inst.scalar("d"),)),
 ))
 _register(_rule(
     "T7c", 0,
@@ -592,7 +598,7 @@ _register(_rule(
     lambda inst: inst.args.x1, "c", ("r",), indexed_step=0,
     extra_upper=lambda inst: (inst.scalar("r"), -_half(inst.indexed_value)),
     extra_lower=lambda inst: (1 + inst.scalar("r") + _half(inst.indexed_value),),
-    rhs_params=_t7c_rhs,
+    rhs_params=_lemma_rhs("twob_balanced_3f2", lambda inst: (inst.scalar("r"),)),
 ))
 _register(_rule(
     "T8c", 0,
@@ -600,7 +606,7 @@ _register(_rule(
     lambda inst: inst.args.x1, "c", ("d",), indexed_step=0, double_step=True,
     extra_upper=lambda inst: (-_half(inst.indexed_value),),
     extra_lower=lambda inst: (1 + inst.scalar("d") + _half(inst.indexed_value),),
-    rhs_params=_t8c_rhs,
+    rhs_params=_lemma_rhs("watson_4f3", lambda inst: (inst.scalar("d"),)),
 ))
 
 # Removing one c-entry: a binomial outer sum pushes -k into c in place of

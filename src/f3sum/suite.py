@@ -3,11 +3,13 @@
 Three row groups, always in this order:
 
 1. the six closed-form summation lemmas (binomial, Vandermonde, Saalschutz,
-   and three terminating series with quadratic parameter patterns), defined
-   here beside ``_LEMMAS``, which has one row per lemma.  Each is checked
-   exactly (rational arithmetic) against its series summed by
-   :func:`f3sum.f3core.eval_pfq`, the triple series engine on the m1 axis,
-   once, when the case is drawn; the closed forms share no algebra with it,
+   and three terminating series with quadratic parameter patterns), one row
+   each of ``_LEMMAS``.  Four closed forms are read off the declarations in
+   ``identities.LEMMAS``, which the x1-series rules' right sides are read
+   off too.  Each is checked exactly (rational arithmetic) against its
+   series summed by :func:`f3sum.f3core.eval_pfq`, the triple series engine
+   on the m1 axis, once, when the case is drawn; that sum shares no algebra
+   with the closed forms,
 2. the seventeen resummation rules, each on freshly generated instances,
 3. the three classical special cases, each run through the rule that covers
    it wholesale.
@@ -47,6 +49,7 @@ from .identities import (
     DEFAULT_OUTER_CAP,
     DEFAULT_RESIDUAL_TOL,
     IDENTITY_IDS,
+    LEMMAS,
     IdentityInstance,
     check_identity,
     get_rule,
@@ -60,6 +63,7 @@ from .numerics import (
     exact_div,
     number_pow,
     pochhammer,
+    pochhammer_product,
 )
 from .params import FAMILIES, FamilyIndex, ParameterSet, order_excess
 from .special import SPECIAL_KINDS, check_special_case, get_layout, special_params
@@ -101,26 +105,30 @@ def binomial_1f0(a: Number, t: Number) -> Number:
     return number_pow(1 - t, -a)
 
 
+def _closed_form(name: str, what: str, n: int, *params: Number) -> Number:
+    """The closed form prod (num)_n / prod (den)_n that ``LEMMAS[name]``
+    declares at ``params``; ``what`` names the sum in the pole error."""
+    _check_order(n)
+    num, den = LEMMAS[name](*params)
+    return _ratio(pochhammer_product(num, n), pochhammer_product(den, n), what)
+
+
 def vandermonde_2f1(n: int, a: Number, c: Number) -> Number:
     """2F1(-n, a; c; 1) = (c-a)_n / (c)_n."""
-    _check_order(n)
-    return _ratio(pochhammer(c - a, n), pochhammer(c, n), "2F1(-n,a;c;1)")
+    return _closed_form("vandermonde_2f1", "2F1(-n,a;c;1)", n, a, c)
 
 
 def saalschutz_3f2(n: int, a: Number, b: Number, c: Number) -> Number:
     """3F2(-n, a, b; c, 1+a+b-c-n; 1) = (c-a)_n (c-b)_n / ((c)_n (c-a-b)_n)."""
-    _check_order(n)
-    return _ratio(
-        pochhammer(c - a, n) * pochhammer(c - b, n),
-        pochhammer(c, n) * pochhammer(c - a - b, n),
-        "balanced 3F2",
-    )
+    return _closed_form("saalschutz_3f2", "balanced 3F2", n, a, b, c)
 
 
 def nearly_poised_3f2(n: int, a: Number, b: Number) -> Number:
     """3F2(-n, a, 1+a/2; a/2, b; 1) = (b-a-1-n) (b-a)_(n-1) / (b)_n.
 
-    At n = 0 the series is 1; the closed form needs b - a != 1 there.
+    At n = 0 the series is 1; the closed form needs b - a != 1 there.  Not
+    read off ``LEMMAS``: at b - a = 1 its declared ratio is 0/0 for n >= 1,
+    where this form is finite.
     """
     _check_order(n)
     if n == 0:
@@ -139,28 +147,13 @@ def nearly_poised_3f2(n: int, a: Number, b: Number) -> Number:
 def twob_balanced_3f2(n: int, a: Number, b: Number) -> Number:
     """3F2(-n, a, b; 1+a-b, 1+2b-n; 1)
        = (a-2b)_n (1+a/2-b)_n (-b)_n / ((1+a-b)_n (a/2-b)_n (-2b)_n)."""
-    _check_order(n)
-    half_a = exact_div(a, 2)
-    return _ratio(
-        pochhammer(a - 2 * b, n)
-        * pochhammer(1 + half_a - b, n)
-        * pochhammer(-b, n),
-        pochhammer(1 + a - b, n)
-        * pochhammer(half_a - b, n)
-        * pochhammer(-2 * b, n),
-        "two-b balanced 3F2",
-    )
+    return _closed_form("twob_balanced_3f2", "two-b balanced 3F2", n, a, -2 * b)
 
 
 def watson_4f3(n: int, a: Number, b: Number) -> Number:
     """4F3(-n, a, 1+a/2, b; a/2, 1+a-b, 1+2b-n; 1)
        = (a-2b)_n (-b)_n / ((1+a-b)_n (-2b)_n)."""
-    _check_order(n)
-    return _ratio(
-        pochhammer(a - 2 * b, n) * pochhammer(-b, n),
-        pochhammer(1 + a - b, n) * pochhammer(-2 * b, n),
-        "Watson-type 4F3",
-    )
+    return _closed_form("watson_4f3", "Watson-type 4F3", n, a, -2 * b)
 
 
 @dataclass(frozen=True)

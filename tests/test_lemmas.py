@@ -82,10 +82,15 @@ class TestNearlyPoised:
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_matches_series(self, n):
-        a, b = A, C
-        got = nearly_poised_3f2(n, a, b)
-        want = exact_series([-n, a, 1 + a / 2], [a / 2, b])
-        assert got == want
+        cases = [(A, C)]
+        if n:
+            # b - a = 1 puts a Pochhammer ratio for this sum at 0/0, but the
+            # closed form stays finite for n >= 1 (-7/8 at n = 1).
+            cases.append((Fraction(1, 7), Fraction(8, 7)))
+        for a, b in cases:
+            got = nearly_poised_3f2(n, a, b)
+            want = exact_series([-n, a, 1 + a / 2], [a / 2, b])
+            assert got == want
 
     def test_zero_order(self):
         assert nearly_poised_3f2(0, A, C) == 1
@@ -121,6 +126,29 @@ class TestWatson:
             [a / 2, 1 + a - b, 1 + 2 * b - n],
         )
         assert got == want
+
+
+# Each Pochhammer closed form with arguments that zero one of its downstairs
+# Pochhammer symbols at order 2, and the text of the error it raises there.
+POLES = [
+    (vandermonde_2f1, (A, -1), "2F1(-n,a;c;1)"),
+    (saalschutz_3f2, (A, B, -1), "balanced 3F2"),
+    (nearly_poised_3f2, (A, -1), "nearly-poised 3F2"),
+    (twob_balanced_3f2, (A, Fraction(1, 2)), "two-b balanced 3F2"),
+    (watson_4f3, (A, Fraction(1, 2)), "Watson-type 4F3"),
+]
+
+
+@pytest.mark.parametrize(
+    "closed_form, params, what", POLES, ids=[f.__name__ for f, _, _ in POLES]
+)
+def test_closed_form_error_paths(closed_form, params, what):
+    with pytest.raises(InvalidInputError) as info:
+        closed_form(-1, *params)
+    assert str(info.value) == "terminating order must be a non-negative int, got -1"
+    with pytest.raises(DenominatorPoleError) as info:
+        closed_form(2, *params)
+    assert str(info.value) == f"closed form for {what} hits a zero denominator"
 
 
 def test_unknown_lemma_case_is_typed():
